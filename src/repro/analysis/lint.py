@@ -239,6 +239,23 @@ def _mentions(node: ast.AST, name: str) -> bool:
     return False
 
 
+_CHANNEL_NAMES = ("ch", "chan", "channel")
+
+
+def channel_like(node: ast.AST) -> Optional[str]:
+    """The receiver's spelling when it plausibly denotes a DMA channel:
+    a name spelled ``ch``/``chan``/``channel`` (or ending in ``channel``),
+    or an attribute chain ending in one of those (HLT001, OFF001)."""
+    if isinstance(node, ast.Name):
+        name = node.id
+        if name in _CHANNEL_NAMES or name.lower().endswith("channel"):
+            return name
+    if isinstance(node, ast.Attribute):
+        if node.attr in _CHANNEL_NAMES or node.attr.lower().endswith("channel"):
+            return node.attr
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Rule registry
 # ---------------------------------------------------------------------------

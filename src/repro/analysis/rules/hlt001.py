@@ -29,9 +29,9 @@ path; anywhere else, suppress a deliberate exception with
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.analysis.lint import Finding, ModuleSource, Rule, register_rule
+from repro.analysis.lint import Finding, ModuleSource, Rule, channel_like, register_rule
 
 #: module paths allowed to touch these APIs directly (substring match on
 #: the /-normalized path)
@@ -42,21 +42,6 @@ _SANCTIONED = (
     "repro/ioat/channel.py",
     "repro/ioat/engine.py",
 )
-
-_CHANNEL_NAMES = ("ch", "chan", "channel")
-
-
-def _channel_like(node: ast.AST) -> Optional[str]:
-    """The receiver's spelling when it plausibly denotes a DMA channel."""
-    if isinstance(node, ast.Name):
-        name = node.id
-        if name in _CHANNEL_NAMES or name.lower().endswith("channel"):
-            return name
-    if isinstance(node, ast.Attribute):
-        if node.attr in _CHANNEL_NAMES or node.attr.lower().endswith("channel"):
-            return node.attr
-    return None
-
 
 @register_rule
 class HealthBypassRule(Rule):
@@ -74,7 +59,7 @@ class HealthBypassRule(Rule):
                 continue
             attr = node.func.attr
             if attr == "fail":
-                receiver = _channel_like(node.func.value)
+                receiver = channel_like(node.func.value)
                 if receiver is not None:
                     yield module.finding(
                         self.code, node,

@@ -17,7 +17,8 @@ Three call shapes are flagged:
 * ``<channel>.submit(...)`` on a channel-like receiver;
 * ``<channel>.ring`` attribute access on a channel-like receiver.
 
-*Channel-like* uses the HLT001 spelling heuristic: a name spelled
+*Channel-like* is the spelling heuristic HLT001 shares
+(:func:`repro.analysis.lint.channel_like`): a name spelled
 ``ch``/``chan``/``channel`` (or ending in ``channel``), or an attribute
 chain ending in one of those.  Endpoint eager rings (``ep.ring``) and
 process pools (``pool.submit``) never look like that.
@@ -31,9 +32,9 @@ with ``# noqa: OFF001``.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.analysis.lint import Finding, ModuleSource, Rule, register_rule
+from repro.analysis.lint import Finding, ModuleSource, Rule, channel_like, register_rule
 
 #: module paths allowed to touch channels directly (substring match on the
 #: /-normalized path).  Note repro/core/offload.py is deliberately absent:
@@ -45,21 +46,6 @@ _SANCTIONED = (
     "repro/faults/",
     "repro/analysis/",
 )
-
-_CHANNEL_NAMES = ("ch", "chan", "channel")
-
-
-def _channel_like(node: ast.AST) -> Optional[str]:
-    """The receiver's spelling when it plausibly denotes a DMA channel."""
-    if isinstance(node, ast.Name):
-        name = node.id
-        if name in _CHANNEL_NAMES or name.lower().endswith("channel"):
-            return name
-    if isinstance(node, ast.Attribute):
-        if node.attr in _CHANNEL_NAMES or node.attr.lower().endswith("channel"):
-            return node.attr
-    return None
-
 
 @register_rule
 class OffloadBypassRule(Rule):
@@ -85,7 +71,7 @@ class OffloadBypassRule(Rule):
                     continue
                 if (isinstance(node.func, ast.Attribute)
                         and node.func.attr == "submit"):
-                    receiver = _channel_like(node.func.value)
+                    receiver = channel_like(node.func.value)
                     if receiver is not None:
                         yield module.finding(
                             self.code, node,
@@ -94,7 +80,7 @@ class OffloadBypassRule(Rule):
                             f"CopyBackend.submit_fragment",
                         )
             elif isinstance(node, ast.Attribute) and node.attr == "ring":
-                receiver = _channel_like(node.value)
+                receiver = channel_like(node.value)
                 if receiver is not None:
                     yield module.finding(
                         self.code, node,

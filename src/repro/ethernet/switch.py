@@ -13,7 +13,8 @@ retransmission machinery.
 Multi-switch forwarding (:mod:`repro.fabric` testbeds) uses **static
 routes** installed at build time: per destination MAC, the set of
 candidate egress ports, one of which is picked by a seeded crc32 hash of
-the (src, dst) MAC pair — deterministic ECMP, byte-identical across runs
+the (src, dst) MAC pair (:func:`repro.fabric.routing.ecmp_pick`, the
+chunk-level fabric's hash) — deterministic ECMP, byte-identical across runs
 and platforms (never Python's ``hash``), and per-pair stable so a flow's
 frames never reorder across trunks.  With static routes installed the
 learning path is bypassed entirely: flooding over a fat tree's redundant
@@ -23,11 +24,11 @@ order into the forwarding state.
 
 from __future__ import annotations
 
-import zlib
 from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.ethernet.frame import EthernetFrame
 from repro.ethernet.link import Link
+from repro.fabric.routing import ecmp_pick
 from repro.simkernel.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,9 +138,9 @@ class EthernetSwitch:
             return None
         if len(candidates) == 1:
             return candidates[0]
-        key = (f"{self.ecmp_seed}|{frame.src_mac}>{frame.dst_mac}"
-               f"|{self.name}")
-        return candidates[zlib.crc32(key.encode()) % len(candidates)]
+        return candidates[ecmp_pick(self.ecmp_seed,
+                                    f"{frame.src_mac}>{frame.dst_mac}",
+                                    self.name, len(candidates))]
 
     # -- forwarding -------------------------------------------------------------
 

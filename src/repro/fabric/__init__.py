@@ -43,12 +43,9 @@ from repro.fabric.spec import (
 from repro.fabric.network import FabricNetwork
 from repro.fabric.mpi import FabricWorld, launch_fabric_world
 from repro.fabric.resilience import (
-    FabricLivenessMonitor,
     FabricResilience,
     LinkHealth,
-    ResilienceParams,
     resilient_allreduce,
-    survivor_ring_allreduce,
     trunk_health_snapshot,
 )
 from repro.fabric.sweep import chaos_campaign, run_fabric_collective
@@ -63,14 +60,11 @@ __all__ = [
     "star_topology",
     "FabricNetwork",
     "FabricWorld",
-    "FabricLivenessMonitor",
     "FabricResilience",
     "LinkHealth",
-    "ResilienceParams",
     "chaos_campaign",
     "launch_fabric_world",
     "resilient_allreduce",
     "run_fabric_collective",
-    "survivor_ring_allreduce",
     "trunk_health_snapshot",
 ]

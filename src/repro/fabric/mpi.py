@@ -26,9 +26,10 @@ Crash-stop rank death (DESIGN.md §17): :meth:`FabricWorld.kill_rank`
 interrupts the victim's process (the supervisor wrapper swallows exactly
 that interrupt, so the rank vanishes instead of failing the SPMD join)
 and marks its host dead in the network so in-flight chunks drain.  A
-grace window later the liveness monitor *declares* the death: the current
-collective epoch is poisoned, every pending posted request fails with the
-typed :class:`~repro.core.errors.RankDead` all at once, and any further
+grace window (:data:`RANK_DEATH_GRACE`, modelling detection latency) later
+the world *declares* the death: the current collective epoch is poisoned,
+every pending posted request fails with the typed
+:class:`~repro.core.errors.RankDead` all at once, and any further
 send/receive in the poisoned epoch fails immediately — survivors always
 unwind, never livelock.  Recovery (:meth:`FabricWorld.join_recovery`)
 advances the epoch; stale epoch-N traffic still in flight is dropped by
@@ -51,10 +52,14 @@ from repro.params import Platform
 from repro.simkernel import Simulator
 from repro.simkernel.errors import Interrupted
 from repro.simkernel.event import AllOf, Event
+from repro.units import us
 
 #: interrupt cause marking a simulated crash-stop (the supervisor wrapper
 #: in :meth:`FabricWorld.run_spmd` swallows exactly this cause)
 CRASH_STOP = "fabric-crash-stop"
+
+#: grace between a rank crash-stop and the RankDead declaration wave
+RANK_DEATH_GRACE = us(30)
 
 
 class _PhantomRegion:
@@ -156,17 +161,15 @@ class FabricRank:
     def isend(self, dest: int, region, offset: int = 0,
               length: Optional[int] = None, tag: int = 0) -> Generator:
         world = self.world
-        if world._poisoned or dest in world.dead:
-            # Poisoned epoch (or a declared-dead peer): fail locally, with
-            # no message entering the network — every epoch-N message then
-            # has t_start <= the declaration time, which is what makes the
-            # stale-drop rule in _on_msg_complete airtight.
-            req = _FabricReq()
-            world._complete(req, world._rank_dead_error("send refused"))
+        req = _FabricReq()
+        if world._send_refused(req, dest):
             return req
         n = (len(region) - offset) if length is None else length
         yield from self.core.execute(world.cost.send_cpu(n), "fabric_send")
-        req = _FabricReq()
+        # The gate again: a crash-stop or its declaration wave may have
+        # landed while the send CPU was being charged.
+        if world._send_refused(req, dest):
+            return req
         msg = world.net.send(self.host, world.hosts[dest], tag, n)
         req.msg = msg
         msg.user = req
@@ -300,13 +303,13 @@ class FabricWorld:
         self.epoch = 0
         #: stale epoch-N messages dropped after a declaration
         self.stale_drained = 0
+        #: declaration waves run, and survivor requests they failed
+        self.deaths_declared = 0
+        self.reqs_failed = 0
         self._poisoned = False
         self._declare_time: Optional[int] = None
         self._kill_time: Optional[int] = None
         self._last_dead: Optional[tuple[int, str, int]] = None
-        #: the rank liveness monitor (created lazily on the first kill;
-        #: install one up front to customize grace/tracing)
-        self.liveness = None
         self._procs: dict[int, object] = {}
 
     @property
@@ -363,6 +366,18 @@ class FabricWorld:
                           else (-1, "", self.sim.now))
         return RankDead(rank, host=host, at=at, detail=detail)
 
+    def _send_refused(self, req: _FabricReq, dest: int) -> bool:
+        """Fail ``req`` locally if the epoch is poisoned or ``dest`` dead.
+
+        A refused send never enters the network, so every epoch-N message
+        has t_start <= the declaration time, which is what makes the
+        stale-drop rule in :meth:`_on_msg_complete` airtight.
+        """
+        if self._poisoned or dest in self.dead:
+            self._complete(req, self._rank_dead_error("send refused"))
+            return True
+        return False
+
     def survivors(self) -> list[int]:
         """Sorted rank ids not declared dead."""
         return [i for i in range(self.size) if i not in self.dead]
@@ -372,8 +387,8 @@ class FabricWorld:
 
         The victim's process is interrupted (it vanishes without failing
         the SPMD join), its host is marked dead in the network so
-        in-flight chunks drain with :class:`RankDead`, and the liveness
-        monitor schedules the declaration wave a grace window later.
+        in-flight chunks drain with :class:`RankDead`, and the declaration
+        wave is scheduled :data:`RANK_DEATH_GRACE` later.
         """
         if not 0 <= rank < self.size:
             raise ValueError(f"no rank {rank} in a {self.size}-rank world")
@@ -385,10 +400,6 @@ class FabricWorld:
     def _kill_rank_now(self, rank: int) -> None:
         if rank in self.dead:
             return
-        if self.liveness is None:
-            from repro.fabric.resilience import FabricLivenessMonitor
-
-            self.liveness = FabricLivenessMonitor(self)
         r = self.ranks[rank]
         self.dead.add(rank)
         self._kill_time = self.sim.now
@@ -397,22 +408,22 @@ class FabricWorld:
         proc = self._procs.get(rank)
         if proc is not None and proc.is_alive:
             proc.interrupt(CRASH_STOP)
-        self.liveness.rank_killed(rank, r.host)
+        self.sim.call_at(self.sim.now + RANK_DEATH_GRACE,
+                         self._declare_rank_dead, rank, r.host)
 
-    def _declare_rank_dead(self, rank: int, host: str) -> int:
+    def _declare_rank_dead(self, rank: int, host: str) -> None:
         """The declaration wave: poison the epoch, fail everything pending.
 
         Every posted receive of every surviving rank fails with
         :class:`RankDead` — all at once, in sorted key order — so each
         blocked survivor unwinds deterministically.  The dead rank's own
         receives are dropped without touching their events (its process is
-        gone; resuming it would be a kernel error).  Returns the number of
-        survivor requests failed.
+        gone; resuming it would be a kernel error).
         """
+        self.deaths_declared += 1
         at = self._kill_time if self._kill_time is not None else self.sim.now
         self._poisoned = True
         self._declare_time = self.sim.now
-        failed = 0
         for key in sorted(self._posted):
             for req in self._posted[key]:
                 if key[0] in self.dead:
@@ -423,13 +434,22 @@ class FabricWorld:
                     self._complete(req, RankDead(
                         rank, host=host, at=at,
                         detail="pending receive at declaration"))
-                    failed += 1
+                    self.reqs_failed += 1
         self._posted.clear()
         # Receive-side traffic that already arrived dies with the epoch.
         for key in sorted(self._arrived):
             self.stale_drained += len(self._arrived[key])
         self._arrived.clear()
-        return failed
+
+    def liveness_snapshot(self) -> dict:
+        """JSON-stable crash-stop summary for campaign/soak reports."""
+        return {
+            "deaths_declared": self.deaths_declared,
+            "reqs_failed": self.reqs_failed,
+            "stale_drained": self.stale_drained,
+            "dead_ranks": sorted(self.dead),
+            "epoch": self.epoch,
+        }
 
     def join_recovery(self, rank: FabricRank) -> Generator:
         """Per-rank recovery barrier after a :class:`RankDead`.
@@ -439,7 +459,7 @@ class FabricWorld:
         epoch (idempotent).  Per-rank ordering is all the epoch-scoped
         tags need — survivors may enter the new epoch at different times.
         """
-        grace = (self.liveness.grace if self.liveness is not None else 0)
+        grace = RANK_DEATH_GRACE if self.dead else 0
         kill = self._kill_time if self._kill_time is not None else self.sim.now
         target = kill + 2 * grace + 1
         while self.sim.now < target:

@@ -46,6 +46,10 @@ from repro.params import Platform, clovertown_5000x
 from repro.simkernel import Simulator
 from repro.units import transfer_time
 
+#: per-chunk retry budget on lossy links (with a resilience layer attached)
+#: before the loss is fatal
+MAX_CHUNK_RETRIES = 10
+
 
 class _Message:
     """One in-flight fabric message (the transfer handle)."""
@@ -288,7 +292,7 @@ class FabricNetwork:
         self.chunks_dropped = 0
         self.chunks_rerouted = 0
         self.chunks_retried = 0
-        #: resilience layer attachment (set by FabricResilience.attach);
+        #: resilience layer attachment (set by FabricResilience);
         #: None = losses are fatal, exactly the pre-resilience behavior
         self.resilience = None
         #: crash-stopped hosts (fed by the MPI layer's rank-kill axis)
@@ -509,15 +513,21 @@ class FabricNetwork:
                                               where=port_name,
                                               detail="access link down"))
             return
-        dst_edge = self.routes.edge_of[msg.dst]
         # A fresh ECMP draw per routing epoch: the detour is a function of
         # the flow key and the live-link set, never of dispatch order.
-        flow = f"{msg.flow}/r{self.routes.version}/c{chunk.idx}"
-        path = self.routes.path(at_switch, dst_edge, flow)
+        self._detour(chunk, at_switch,
+                     f"{msg.flow}/r{self.routes.version}/c{chunk.idx}",
+                     "no detour after link kill")
+
+    def _detour(self, chunk: _Chunk, at_switch: str, flow: str,
+                detail: str) -> None:
+        """Restart ``chunk``'s walk at ``at_switch`` over a fresh ECMP
+        draw keyed by ``flow``, or fail its message if no path is left."""
+        msg = chunk.msg
+        path = self.routes.path(at_switch, self.routes.edge_of[msg.dst], flow)
         if path is None:
             self._fail(msg, FabricPartitioned(msg.src, msg.dst, msg.tag,
-                                              where=at_switch,
-                                              detail="no detour after link kill"))
+                                              where=at_switch, detail=detail))
             return
         self.chunks_rerouted += 1
         chunk.path = path
@@ -548,13 +558,12 @@ class FabricNetwork:
         overflow, there is no retransmit layer to hide behind.  With one
         attached, the chunk retries: host-owned ports re-serialize (the
         link-level retransmit model), switch ports restart the walk with a
-        retry-salted ECMP draw so a gray link sheds load — up to the
-        resilience retry cap, then the loss is fatal after all.  Each retry
-        is a fresh arbiter event, so a 100%-lossy link burns its cap in a
-        bounded number of events and can never livelock.
+        retry-salted ECMP draw so a gray link sheds load — up to
+        :data:`MAX_CHUNK_RETRIES`, then the loss is fatal after all.  Each
+        retry is a fresh arbiter event, so a 100%-lossy link burns its cap
+        in a bounded number of events and can never livelock.
         """
-        res = self.resilience
-        if res is None or chunk.retries >= res.params.max_chunk_retries:
+        if self.resilience is None or chunk.retries >= MAX_CHUNK_RETRIES:
             self._drop(chunk, port.name)
             return
         chunk.retries += 1
@@ -562,30 +571,24 @@ class FabricNetwork:
         if port.owner is None:
             port.enqueue(chunk)
             return
-        msg = chunk.msg
-        dst_edge = self.routes.edge_of[msg.dst]
-        flow = (f"{msg.flow}/r{self.routes.version}"
-                f"/c{chunk.idx}/t{chunk.retries}")
-        path = self.routes.path(port.owner, dst_edge, flow)
-        if path is None:
-            self._fail(msg, FabricPartitioned(
-                msg.src, msg.dst, msg.tag, where=port.owner,
-                detail="no path for lossy retry"))
-            return
-        self.chunks_rerouted += 1
-        chunk.path = path
-        chunk.hop = 0
-        self._forward(chunk)
+        self._detour(chunk, port.owner,
+                     f"{chunk.msg.flow}/r{self.routes.version}"
+                     f"/c{chunk.idx}/t{chunk.retries}",
+                     "no path for lossy retry")
 
     # -- fault surface -------------------------------------------------------
 
+    def _now_or_at(self, at: Optional[int], fn: Callable, *args) -> None:
+        """Run ``fn(*args)`` at absolute time ``at``, or now if ``at`` is
+        None or not in the future."""
+        if at is not None and at > self.sim.now:
+            self.sim.call_at(at, fn, *args)
+        else:
+            fn(*args)
+
     def kill_link(self, name: str, at: Optional[int] = None) -> None:
         """Cut the named link (``"a~b"``), now or at absolute time ``at``."""
-        link = self.spec.link_named(name)
-        if at is not None and at > self.sim.now:
-            self.sim.call_at(at, self._kill_link_now, link)
-        else:
-            self._kill_link_now(link)
+        self._now_or_at(at, self._kill_link_now, self.spec.link_named(name))
 
     def _kill_link_now(self, link: LinkSpec) -> None:
         a, b = link.a, link.b
@@ -599,11 +602,7 @@ class FabricNetwork:
                 self.sim.call_at(port._arb_at, port._arbitrate)
 
     def revive_link(self, name: str, at: Optional[int] = None) -> None:
-        link = self.spec.link_named(name)
-        if at is not None and at > self.sim.now:
-            self.sim.call_at(at, self._revive_link_now, link)
-        else:
-            self._revive_link_now(link)
+        self._now_or_at(at, self._revive_link_now, self.spec.link_named(name))
 
     def _revive_link_now(self, link: LinkSpec) -> None:
         a, b = link.a, link.b
@@ -625,12 +624,8 @@ class FabricNetwork:
         is what keeps the resilience-idle event counts bit-identical.
         """
         link = self.spec.link_named(name)
-        scale = 1.0 / bw_factor
-        if at is not None and at > self.sim.now:
-            self.sim.call_at(at, self._set_link_degrade, link, scale,
-                             extra_latency)
-        else:
-            self._set_link_degrade(link, scale, extra_latency)
+        self._now_or_at(at, self._set_link_degrade, link, 1.0 / bw_factor,
+                        extra_latency)
         if until is not None:
             self.sim.call_at(until, self._set_link_degrade, link, 1.0, 0)
 

@@ -13,25 +13,22 @@ world delivering degraded-but-correct service through the gray zone:
   per-link phase drawn from the resilience seed, then a fixed cadence);
 * :class:`LinkBreaker` — trip/reopen hysteresis per trunk, reusing the
   CLOSED/OPEN state-machine shape of
-  :class:`repro.health.breaker.ChannelBreaker`: ``trip_samples``
+  :class:`repro.health.breaker.ChannelBreaker`: :data:`TRIP_SAMPLES`
   consecutive unhealthy windows demote the trunk out of the ECMP
   candidate set (:meth:`repro.fabric.routing.RouteTables.demote_link`,
   which guarantees demotion never partitions), and a demoted trunk must
-  stay down for ``hold_down`` ticks *and* look healthy for
-  ``reopen_samples`` consecutive windows before it is restored — so a
+  stay down for :data:`HOLD_DOWN` ticks *and* look healthy for
+  :data:`REOPEN_SAMPLES` consecutive windows before it is restored — so a
   flapping trunk settles into one stable demoted state instead of
   thrashing the route tables.  Every healthy-looking sample the hysteresis
   refuses to act on increments ``fabric_route_flaps_suppressed``;
-* :class:`FabricLivenessMonitor` — the fabric-scale sibling of
-  :class:`repro.health.liveness.PeerLivenessMonitor`: when a rank
-  crash-stops, survivors' pending requests are failed *all at once* with
-  the typed :class:`~repro.core.errors.RankDead` after a grace window, so
-  the abort drains deterministically instead of livelocking;
 * :func:`resilient_allreduce` — collective-level recovery: abort-and-
   report is the default everywhere, but a ring allreduce can opt into
-  shrink-and-retry, rebuilding the ring over the survivors
-  (:func:`survivor_ring_allreduce`) in a fresh, epoch-scoped tag
-  namespace.
+  shrink-and-retry, rebuilding the ring over the survivors (the normal
+  ring with ``members=``) in a fresh, epoch-scoped tag namespace.
+
+Rank crash-stop declaration (the liveness half) lives in
+:class:`repro.fabric.mpi.FabricWorld`.
 
 Zero-overhead contract: *attaching* a :class:`FabricResilience` creates no
 simulation events and touches no schedule — per-figure event counts stay
@@ -42,15 +39,14 @@ Sampling daemons only start when a fault plan with gray axes is armed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Generator, Iterable
 
 from repro.core.errors import RankDead
-from repro.units import us
+from repro.units import SEC, us
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fabric.mpi import FabricRank, FabricWorld
+    from repro.fabric.mpi import FabricRank
     from repro.fabric.network import FabricNetwork, FabricPort
 
 
@@ -64,53 +60,28 @@ class LinkHealth(Enum):
 _SEVERITY = {LinkHealth.HEALTHY: 0, LinkHealth.DEGRADED: 1, LinkHealth.DEAD: 2}
 
 
-@dataclass(frozen=True)
-class ResilienceParams:
-    """Tunables of the resilience layer (DESIGN.md §17).
+# Tunables (DESIGN.md §17), sized against the fabric cost model: a
+# sampling window of 20 us is ~3 chunk serializations on a degraded
+# 2.5 Gb/s trunk, so one window of traffic is enough signal to score it;
+# the hold-down of 400 us spans a whole default flap period, which is what
+# makes a flapping trunk converge to one stable demotion instead of
+# tracking the flap.
 
-    The defaults are sized against the fabric cost model: a sampling
-    window of 20 us is ~3 chunk serializations on a degraded 2.5 Gb/s
-    trunk, so one window of traffic is enough signal to score it; the
-    hold-down of 400 us spans a whole default flap period, which is what
-    makes a flapping trunk converge to one stable demotion instead of
-    tracking the flap.
-    """
-
-    #: sampling cadence per watched link
-    window: int = us(20)
-    #: fraction of ``window`` the seeded per-link phase offset may span
-    phase_jitter: float = 0.5
-    #: dropped/enqueued delta ratio at/above which a window is DEGRADED
-    drop_threshold: float = 0.02
-    #: busy-tick occupancy above which a window is DEGRADED (a saturated
-    #: gray link serializes flat-out while its healthy siblings idle)
-    busy_threshold: float = 0.95
-    #: consecutive unhealthy windows before a trunk is demoted
-    trip_samples: int = 3
-    #: consecutive healthy windows before a demoted trunk may be restored
-    reopen_samples: int = 4
-    #: minimum ticks a demotion holds regardless of how healthy it looks
-    hold_down: int = us(400)
-    #: grace between a rank crash-stop and the RankDead declaration wave
-    rank_death_grace: int = us(30)
-    #: per-chunk retry budget on lossy links before the loss is fatal
-    max_chunk_retries: int = 10
-
-    def validate(self) -> None:
-        if self.window <= 0:
-            raise ValueError("resilience window must be positive")
-        if not 0 <= self.phase_jitter < 1:
-            raise ValueError("phase_jitter must be in [0, 1)")
-        if not 0 < self.drop_threshold <= 1:
-            raise ValueError("drop_threshold must be in (0, 1]")
-        if not 0 < self.busy_threshold <= 1:
-            raise ValueError("busy_threshold must be in (0, 1]")
-        if self.trip_samples < 1 or self.reopen_samples < 1:
-            raise ValueError("trip/reopen sample counts must be >= 1")
-        if self.hold_down < 0 or self.rank_death_grace < 0:
-            raise ValueError("hold_down/rank_death_grace must be >= 0")
-        if self.max_chunk_retries < 0:
-            raise ValueError("max_chunk_retries must be >= 0")
+#: sampling cadence per watched link
+WINDOW = us(20)
+#: fraction of ``WINDOW`` the seeded per-link phase offset may span
+PHASE_JITTER = 0.5
+#: dropped/enqueued delta ratio at/above which a window is DEGRADED
+DROP_THRESHOLD = 0.02
+#: busy-tick occupancy above which a window is DEGRADED (a saturated gray
+#: link serializes flat-out while its healthy siblings idle)
+BUSY_THRESHOLD = 0.95
+#: consecutive unhealthy windows before a trunk is demoted
+TRIP_SAMPLES = 3
+#: consecutive healthy windows before a demoted trunk may be restored
+REOPEN_SAMPLES = 4
+#: minimum ticks a demotion holds regardless of how healthy it looks
+HOLD_DOWN = us(400)
 
 
 class LinkHealthEstimator:
@@ -123,23 +94,21 @@ class LinkHealthEstimator:
       surface speed downshift in port status, so reading the degrade state
       off the port is observation, not cheating;
     * a window whose dropped/enqueued delta ratio crosses
-      ``drop_threshold`` is DEGRADED (lossy link);
-    * a window serialized busier than ``busy_threshold`` is DEGRADED (a
-      gray link running flat-out while siblings keep up).
+      :data:`DROP_THRESHOLD` is DEGRADED (lossy link);
+    * a window serialized busier than :data:`BUSY_THRESHOLD` is DEGRADED
+      (a gray link running flat-out while siblings keep up).
     """
 
-    __slots__ = ("name", "ports", "params", "state", "samples", "_last")
+    __slots__ = ("name", "ports", "state", "samples", "_last")
 
-    def __init__(self, name: str, ports: list["FabricPort"],
-                 params: ResilienceParams):
+    def __init__(self, name: str, ports: list["FabricPort"]):
         self.name = name
         self.ports = ports
-        self.params = params
         self.state = LinkHealth.HEALTHY
         self.samples = 0
         self._last = [(p.enqueued, p.dropped, p.busy_ticks) for p in ports]
 
-    def sample(self, window: int) -> LinkHealth:
+    def sample(self) -> LinkHealth:
         worst = LinkHealth.HEALTHY
         for i, port in enumerate(self.ports):
             enq0, drop0, busy0 = self._last[i]
@@ -151,9 +120,9 @@ class LinkHealthEstimator:
                 health = LinkHealth.DEAD
             elif port.service_scale != 1.0 or port.extra_delay:
                 health = LinkHealth.DEGRADED
-            elif d_enq and d_drop / d_enq >= self.params.drop_threshold:
+            elif d_enq and d_drop / d_enq >= DROP_THRESHOLD:
                 health = LinkHealth.DEGRADED
-            elif d_busy / window > self.params.busy_threshold:
+            elif d_busy / WINDOW > BUSY_THRESHOLD:
                 health = LinkHealth.DEGRADED
             else:
                 health = LinkHealth.HEALTHY
@@ -167,10 +136,10 @@ class LinkHealthEstimator:
 class LinkBreaker:
     """Trip/reopen hysteresis for one trunk (the breaker shape, per link).
 
-    CLOSED: the trunk is a normal ECMP candidate; ``trip_samples``
+    CLOSED: the trunk is a normal ECMP candidate; :data:`TRIP_SAMPLES`
     consecutive unhealthy windows demote it and open the breaker.
-    OPEN: the trunk is demoted; it is restored only after ``hold_down``
-    ticks *and* ``reopen_samples`` consecutive healthy windows.  Healthy
+    OPEN: the trunk is demoted; it is restored only after :data:`HOLD_DOWN`
+    ticks *and* :data:`REOPEN_SAMPLES` consecutive healthy windows.  Healthy
     windows the hysteresis refuses to act on are counted as suppressed
     flaps — the whole point of the breaker is that a flapping trunk
     produces a large suppressed count and zero route oscillation.
@@ -190,23 +159,21 @@ class LinkBreaker:
         self.healthy_streak = 0
 
     def on_sample(self, health: LinkHealth, now: int) -> None:
-        p = self.res.params
         if self.state == "closed":
             if health is LinkHealth.HEALTHY:
                 self.unhealthy_streak = 0
                 return
             self.unhealthy_streak += 1
-            if self.unhealthy_streak >= p.trip_samples:
+            if self.unhealthy_streak >= TRIP_SAMPLES:
                 self._trip(now)
         else:
             if health is not LinkHealth.HEALTHY:
                 self.healthy_streak = 0
                 return
             self.healthy_streak += 1
-            if (now - self.tripped_at < p.hold_down
-                    or self.healthy_streak < p.reopen_samples):
+            if (now - self.tripped_at < HOLD_DOWN
+                    or self.healthy_streak < REOPEN_SAMPLES):
                 self.res.flaps_suppressed += 1
-                self.res._instant(self.name, "flap suppressed")
             else:
                 self._reopen()
 
@@ -219,7 +186,6 @@ class LinkBreaker:
         if res.net.routes.demote_link(self.a, self.b):
             res.demotions += 1
             res.reroutes += 1
-            res._instant(self.name, "demoted")
 
     def _reopen(self) -> None:
         self.state = "closed"
@@ -229,7 +195,6 @@ class LinkBreaker:
         if res.net.routes.restore_link(self.a, self.b):
             res.restorations += 1
             res.reroutes += 1
-            res._instant(self.name, "restored")
 
 
 class FabricResilience:
@@ -241,14 +206,9 @@ class FabricResilience:
     the watch horizon has passed and the network has quiesced.
     """
 
-    def __init__(self, net: "FabricNetwork",
-                 params: Optional[ResilienceParams] = None,
-                 seed: str = "resilience", trace=None):
+    def __init__(self, net: "FabricNetwork", seed: str = "resilience"):
         self.net = net
-        self.params = params if params is not None else ResilienceParams()
-        self.params.validate()
         self.seed = seed
-        self.trace = trace
         self.horizon = 0
         self.reroutes = 0
         self.flaps_suppressed = 0
@@ -281,12 +241,11 @@ class FabricResilience:
             if name in self._estimators:
                 continue
             link = net.spec.link_named(name)
-            est = LinkHealthEstimator(name, net.ports_of_link(name),
-                                      self.params)
+            est = LinkHealthEstimator(name, net.ports_of_link(name))
             self._estimators[name] = est
             if link.a not in hosts and link.b not in hosts:
                 self._breakers[name] = LinkBreaker(self, name, link.a, link.b)
-            span = max(int(self.params.window * self.params.phase_jitter), 1)
+            span = max(int(WINDOW * PHASE_JITTER), 1)
             rng = random.Random(f"{self.seed}:phase:{name}")
             phase = 1 + rng.randrange(span)
             net.sim.daemon(self._watch_link(name, est, phase),
@@ -295,23 +254,17 @@ class FabricResilience:
     def _watch_link(self, name: str, est: LinkHealthEstimator,
                     phase: int) -> Generator:
         yield phase
-        window = self.params.window
         net = self.net
         breaker = self._breakers.get(name)
         while True:
-            yield window
-            health = est.sample(window)
+            yield WINDOW
+            health = est.sample()
             if breaker is not None:
                 breaker.on_sample(health, net.sim.now)
             open_msgs = (net.msgs_sent - net.msgs_delivered
                          - net.msgs_failed)
             if net.sim.now >= self.horizon and open_msgs == 0:
                 return
-
-    def _instant(self, link: str, label: str) -> None:
-        t = self.trace
-        if t is not None and t.enabled:
-            t.instant(f"link {link}", label, "health")
 
     # -- observation -------------------------------------------------------
 
@@ -329,53 +282,6 @@ class FabricResilience:
                         for n, e in sorted(self._estimators.items())},
             "demoted": sorted(n for n, b in self._breakers.items()
                               if b.state == "open"),
-        }
-
-
-# ---------------------------------------------------------------------------
-# Rank-level liveness (crash-stop declaration)
-# ---------------------------------------------------------------------------
-
-class FabricLivenessMonitor:
-    """Crash-stop rank liveness for one :class:`FabricWorld`.
-
-    The fabric-scale sibling of
-    :class:`repro.health.liveness.PeerLivenessMonitor`, with the same
-    contract — a death is *declared*, deterministically and all at once,
-    a grace window after the silence begins, and the declaration fails
-    every pending request so the survivors drain instead of livelocking.
-    Here the silence source is exact (the kill is simulated), so the
-    grace window models detection latency rather than a timeout scan.
-    """
-
-    def __init__(self, world: "FabricWorld",
-                 grace: int = ResilienceParams.rank_death_grace, trace=None):
-        self.world = world
-        self.grace = grace
-        self.trace = trace
-        self.deaths_declared = 0
-        self.reqs_failed = 0
-
-    def rank_killed(self, rank: int, host: str) -> None:
-        """Schedule the declaration wave ``grace`` ticks from now."""
-        sim = self.world.sim
-        sim.call_at(sim.now + self.grace, self._declare, rank, host)
-
-    def _declare(self, rank: int, host: str) -> None:
-        self.deaths_declared += 1
-        t = self.trace
-        if t is not None and t.enabled:
-            t.instant("fabric", f"rank {rank} ({host}) declared DEAD",
-                      "fault")
-        self.reqs_failed += self.world._declare_rank_dead(rank, host)
-
-    def snapshot(self) -> dict:
-        return {
-            "deaths_declared": self.deaths_declared,
-            "reqs_failed": self.reqs_failed,
-            "stale_drained": self.world.stale_drained,
-            "dead_ranks": sorted(self.world.dead),
-            "epoch": self.world.epoch,
         }
 
 
@@ -402,66 +308,6 @@ def _recovery_tag(rank: "FabricRank", epoch: int) -> int:
     rank._coll_seq = seq + 1
     return (_RECOVERY_TAG_BASE | ((epoch & 0xF) << 24)
             | ((seq & 0xFFF) << 12))
-
-
-def survivor_ring_allreduce(rank: "FabricRank", buf, n: int,
-                            epoch: int) -> Generator:
-    """Ring allreduce over the world's survivors (the shrunk ring).
-
-    A faithful mirror of :func:`repro.mpi.collectives._allreduce_ring`
-    with the ring built over ``world.survivors()`` instead of
-    ``range(size)`` — same 4-byte-aligned block cuts, same reduce-scatter
-    + allgather step structure, but epoch-scoped tags so retries after a
-    second death cannot cross-match the first retry's stragglers.
-    ``buf`` must already be seeded with the local contribution.
-    """
-    from repro.mpi.collectives import _accumulate, _scratch
-
-    world = rank.world
-    members = world.survivors()
-    p = len(members)
-    me = members.index(rank.rank)
-    tag = _recovery_tag(rank, epoch)
-    if p == 1 or n == 0:
-        return None
-    base = (n // p) & ~3
-    sizes = [base] * (p - 1) + [n - base * (p - 1)]
-    displs = [base * i for i in range(p)]
-    right = members[(me + 1) % p]
-    left = members[(me - 1) % p]
-    tmp = _scratch(rank, "srr_tmp", sizes[p - 1])
-    for step in range(p - 1):
-        sb = (me - step) % p
-        rb = (me - step - 1) % p
-        sn, rn = sizes[sb], sizes[rb]
-        rreq = sreq = None
-        if rn:
-            rreq = yield from rank.irecv(left, tmp, 0, rn, tag + step)
-        if sn:
-            sreq = yield from rank.isend(right, buf, displs[sb], sn,
-                                         tag + step)
-        if sreq is not None:
-            yield from rank.wait(sreq)
-        if rreq is not None:
-            yield from rank.wait(rreq)
-        if rn:
-            yield from _accumulate(rank, buf, displs[rb], tmp, 0, rn)
-    for step in range(p - 1):
-        sb = (me + 1 - step) % p
-        rb = (me - step) % p
-        sn, rn = sizes[sb], sizes[rb]
-        rreq = sreq = None
-        if rn:
-            rreq = yield from rank.irecv(left, buf, displs[rb], rn,
-                                         tag + p + step)
-        if sn:
-            sreq = yield from rank.isend(right, buf, displs[sb], sn,
-                                         tag + p + step)
-        if sreq is not None:
-            yield from rank.wait(sreq)
-        if rreq is not None:
-            yield from rank.wait(rreq)
-    return None
 
 
 def resilient_allreduce(rank: "FabricRank", sendbuf, recvbuf,
@@ -493,18 +339,22 @@ def resilient_allreduce(rank: "FabricRank", sendbuf, recvbuf,
     # would deadlock — ranks far from the dead one would post receives
     # their aborted neighbors never feed — so go straight to the survivor
     # ring.  join_recovery is a no-op when the declaration is long past.
+    from repro.mpi.collectives import REDUCE_BW, _allreduce_ring
+
     for attempt in range(max_shrinks):
         yield from world.join_recovery(rank)
         # Re-seed: partial accumulation from the failed epoch is garbage.
         if n:
-            from repro.mpi.collectives import REDUCE_BW
-            from repro.units import SEC
-
             yield from rank.core.execute(max(int(n * SEC / REDUCE_BW), 1),
                                          "user")
             recvbuf.read(0, n)[:] = sendbuf.read(0, n)
+        # The shrunk ring: the survivors, on epoch-scoped tags so retries
+        # after a second death cannot cross-match the first retry's
+        # stragglers.
+        tag = _recovery_tag(rank, world.epoch)
         try:
-            yield from survivor_ring_allreduce(rank, recvbuf, n, world.epoch)
+            yield from _allreduce_ring(rank, recvbuf, n, tag,
+                                       members=world.survivors())
             return None
         except RankDead:
             if attempt == max_shrinks - 1 or rank.rank in world.dead:
@@ -516,8 +366,7 @@ def resilient_allreduce(rank: "FabricRank", sendbuf, recvbuf,
 # Full-hardware trunk health (EthernetSwitch path)
 # ---------------------------------------------------------------------------
 
-def trunk_health_snapshot(switches: dict,
-                          params: Optional[ResilienceParams] = None) -> dict:
+def trunk_health_snapshot(switches: dict) -> dict:
     """Score the full-hardware switches' trunk egress ports.
 
     The hardware path has no resilience control loop (its reliability
@@ -526,7 +375,6 @@ def trunk_health_snapshot(switches: dict,
     went gray.  Keyed ``"<switch>:p<port>"``, values are
     :class:`LinkHealth` names.
     """
-    p = params if params is not None else ResilienceParams()
     out = {}
     for name in sorted(switches):
         sw = switches[name]
@@ -536,7 +384,7 @@ def trunk_health_snapshot(switches: dict,
             fwd = sw.port_forwarded[i]
             drp = sw.port_dropped[i]
             total = fwd + drp
-            if total and drp / total >= p.drop_threshold:
+            if total and drp / total >= DROP_THRESHOLD:
                 health = LinkHealth.DEGRADED
             else:
                 health = LinkHealth.HEALTHY
@@ -545,13 +393,10 @@ def trunk_health_snapshot(switches: dict,
 
 
 __all__ = [
-    "FabricLivenessMonitor",
     "FabricResilience",
     "LinkBreaker",
     "LinkHealth",
     "LinkHealthEstimator",
-    "ResilienceParams",
     "resilient_allreduce",
-    "survivor_ring_allreduce",
     "trunk_health_snapshot",
 ]

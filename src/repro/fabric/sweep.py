@@ -6,20 +6,19 @@ receive-copy backend and returns a JSON-stable dict — no wall-clock, no
 object references — so the sweep executor can cache it and two runs of the
 same cell compare byte-identical (the ``fabric_sweep`` acceptance bar).
 
-Three entry points:
+Entry points:
 
 * :func:`run_fabric_collective` — build spec, launch a
-  :class:`~repro.fabric.mpi.FabricWorld`, run the collective SPMD, report;
-* :func:`point_fabric` / :func:`point_fabric_cell` — top-level picklable
-  wrappers registered as the ``"fabric"`` / ``"fabric_cell"`` lazy point
-  kinds in :mod:`repro.reporting.sweeps`;
+  :class:`~repro.fabric.mpi.FabricWorld`, run the collective SPMD, report
+  (the ``"fabric"`` lazy point kind in :mod:`repro.reporting.sweeps`;
+  :func:`run_fabric_cell` is the ``"fabric_cell"`` kind);
 * :func:`fabric_scenario` — the ``--races`` corpus entry: the same cell
   packaged as a zero-arg callable returning an
   :class:`~repro.analysis.races.Observation`, with a seeded trunk flap
   armed so the detector covers the resilience path;
 * :func:`chaos_campaign` — the gray-failure matrix (degrade / flap /
   lossy / crash-stop / partition) crossed with every multi-path topology;
-* :func:`point_imb_fabric` — the IMB suite run over a fabric world (the
+* :func:`run_imb_fabric` — the IMB suite run over a fabric world (the
   ``"imb_fabric"`` lazy kind).
 
 The fault cell (:func:`run_fabric_cell`) arms a
@@ -174,12 +173,6 @@ def run_fabric_collective(topology: str = "fat_tree2", hosts: int = 64,
     }
 
 
-def point_fabric(**params) -> dict:
-    """Top-level sweep point (the ``"fabric"`` lazy kind): one fault-free
-    fabric collective cell, picklable for subprocess executors."""
-    return run_fabric_collective(**params)
-
-
 # ---------------------------------------------------------------------------
 # fault cell: kill a spine link mid-collective
 # ---------------------------------------------------------------------------
@@ -289,14 +282,9 @@ def run_fabric_cell(topology: str = "fat_tree2", hosts: int = 16,
     }
     if res is not None:
         report["resilience"] = res.snapshot()
-    if world.liveness is not None:
-        report["liveness"] = world.liveness.snapshot()
+    if world.dead:
+        report["liveness"] = world.liveness_snapshot()
     return report
-
-
-def point_fabric_cell(**params) -> dict:
-    """Top-level sweep point (the ``"fabric_cell"`` lazy kind)."""
-    return run_fabric_cell(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +419,6 @@ def run_imb_fabric(topology: str = "fat_tree2", hosts: int = 16,
         "events": world.sim.events_processed,
         "net": _net_stats(world),
     }
-
-
-def point_imb_fabric(**params) -> dict:
-    """Top-level sweep point (the ``"imb_fabric"`` lazy kind)."""
-    return run_imb_fabric(**params)
 
 
 # ---------------------------------------------------------------------------

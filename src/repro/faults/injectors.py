@@ -411,7 +411,7 @@ def _watch_gray_links(net, plan: FaultPlan, gray) -> None:
     the hysteresis sees the whole episode and the sampling daemons still
     self-terminate once the network quiesces.
     """
-    from repro.fabric.resilience import FabricResilience
+    from repro.fabric.resilience import HOLD_DOWN, FabricResilience
 
     res = net.resilience
     if res is None:
@@ -423,8 +423,7 @@ def _watch_gray_links(net, plan: FaultPlan, gray) -> None:
         else:
             end = spec.until if spec.until is not None else spec.at
         horizon = max(horizon, end)
-    res.watch(sorted({s.link for s in gray}),
-              horizon + res.params.hold_down)
+    res.watch(sorted({s.link for s in gray}), horizon + HOLD_DOWN)
 
 
 def _arm_hardware_gray(tb, trunks: dict, plan: FaultPlan,

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from repro.faults.injectors import arm_plan
 from repro.faults.plan import FaultPlan, soak_plans
@@ -97,51 +98,59 @@ def _nonterminal(transfers) -> int:
     return sum(1 for t in transfers.values() if t.classify()[0] == "hung")
 
 
-def _checkpoint_daemon(tb, spec: SoakSpec, transfers, checkpoints: list):
-    """Periodic invariant sampling; raises LivelockError on sustained
-    no-progress.  Self-terminates once every transfer is terminal, so it
-    never keeps the event heap alive past quiescence."""
-    stalled = {"count": 0, "frames": -1, "terminal": -1}
-
-    def frames_moved() -> int:
-        return sum(h.nic.rx_frames + h.nic.tx_frames for h in tb.hosts)
+def _stall_watchdog(sim, name: str, interval: int, stall_limit: int,
+                    sample: Callable[[], Optional[tuple]]) -> None:
+    """Start the checkpoint daemon ``name``: every ``interval`` ticks
+    ``sample()`` records one checkpoint and returns the run's progress
+    marker, or None once the run is done (the daemon then ends, so it
+    never keeps the event heap alive past quiescence).  ``stall_limit``
+    consecutive samples with an unchanged marker raise
+    :class:`LivelockError`."""
 
     def proc():
+        last, stalled = None, 0
         while True:
-            yield spec.checkpoint_interval  # bare-int sleep
-            open_transfers = _nonterminal(transfers)
-            frames = frames_moved()
-            checkpoints.append({
-                "t": tb.sim.now,
-                "nonterminal": open_transfers,
-                "skbuffs": sum(h.skb_pool.outstanding for h in tb.hosts),
-                "net_pins": sum(
-                    h.pinner.pin_calls - h.pinner.unpin_calls
-                    for h in tb.hosts
-                ),
-                "frames": frames,
-                "breaker_open": sum(
-                    h.health.open_channels for h in tb.hosts
-                ),
-            })
-            if open_transfers == 0:
+            yield interval  # bare-int sleep
+            mark = sample()
+            if mark is None:
                 return
-            terminal = len(transfers) - open_transfers
-            if frames == stalled["frames"] and terminal == stalled["terminal"]:
-                stalled["count"] += 1
-                if stalled["count"] >= spec.stall_limit:
-                    raise LivelockError(
-                        f"soak {spec.name!r}: no frame moved and no "
-                        f"transfer terminated across {stalled['count']} "
-                        f"checkpoints ({open_transfers} still open at "
-                        f"t={tb.sim.now})"
-                    )
-            else:
-                stalled["count"] = 0
-                stalled["frames"] = frames
-                stalled["terminal"] = terminal
+            if mark != last:
+                last, stalled = mark, 0
+                continue
+            stalled += 1
+            if stalled >= stall_limit:
+                raise LivelockError(f"{name}: no progress across "
+                                    f"{stalled} checkpoints (t={sim.now})")
 
-    tb.sim.daemon(proc(), name=f"soak-checkpoint-{spec.name}")
+    sim.daemon(proc(), name=name)
+
+
+def _checkpoint_daemon(tb, spec: SoakSpec, transfers, checkpoints: list):
+    """Periodic invariant sampling; progress means a frame crossed a NIC
+    or a transfer reached a terminal state."""
+
+    def sample():
+        open_transfers = _nonterminal(transfers)
+        frames = sum(h.nic.rx_frames + h.nic.tx_frames for h in tb.hosts)
+        checkpoints.append({
+            "t": tb.sim.now,
+            "nonterminal": open_transfers,
+            "skbuffs": sum(h.skb_pool.outstanding for h in tb.hosts),
+            "net_pins": sum(
+                h.pinner.pin_calls - h.pinner.unpin_calls
+                for h in tb.hosts
+            ),
+            "frames": frames,
+            "breaker_open": sum(
+                h.health.open_channels for h in tb.hosts
+            ),
+        })
+        if open_transfers == 0:
+            return None
+        return frames, len(transfers) - open_transfers
+
+    _stall_watchdog(tb.sim, f"soak-checkpoint-{spec.name}",
+                    spec.checkpoint_interval, spec.stall_limit, sample)
 
 
 def run_soak(spec: SoakSpec, trace: bool = False) -> dict:
@@ -348,45 +357,29 @@ def _fabric_checkpoint_daemon(world, spec: FabricSoakSpec, state: dict,
     that budget.  Self-terminates once every surviving body finished and
     the network quiesced."""
     net = world.net
-    stalled = {"count": 0, "terminal": -1, "moved": -1}
 
-    def proc():
-        while True:
-            yield spec.checkpoint_interval
-            open_msgs = (net.msgs_sent - net.msgs_delivered
-                         - net.msgs_failed)
-            terminal = net.msgs_delivered + net.msgs_failed
-            moved = net.chunks_forwarded + net.chunks_retried
-            res = net.resilience
-            checkpoints.append({
-                "t": world.sim.now,
-                "open_msgs": open_msgs,
-                "terminal": terminal,
-                "forwarded": net.chunks_forwarded,
-                "retried": net.chunks_retried,
-                "rerouted": net.chunks_rerouted,
-                "reroutes": res.reroutes if res is not None else 0,
-                "flaps_suppressed": (res.flaps_suppressed
-                                     if res is not None else 0),
-                "dead_ranks": len(world.dead),
-            })
-            if state["open_bodies"] <= len(world.dead) and open_msgs == 0:
-                return
-            if terminal == stalled["terminal"] and moved == stalled["moved"]:
-                stalled["count"] += 1
-                if stalled["count"] >= spec.stall_limit:
-                    raise LivelockError(
-                        f"fabric soak {spec.name!r}: no message terminated "
-                        f"and no chunk moved across {stalled['count']} "
-                        f"checkpoints ({open_msgs} open msgs, "
-                        f"{state['open_bodies']} bodies at "
-                        f"t={world.sim.now})")
-            else:
-                stalled["count"] = 0
-                stalled["terminal"] = terminal
-                stalled["moved"] = moved
+    def sample():
+        open_msgs = net.msgs_sent - net.msgs_delivered - net.msgs_failed
+        terminal = net.msgs_delivered + net.msgs_failed
+        res = net.resilience
+        checkpoints.append({
+            "t": world.sim.now,
+            "open_msgs": open_msgs,
+            "terminal": terminal,
+            "forwarded": net.chunks_forwarded,
+            "retried": net.chunks_retried,
+            "rerouted": net.chunks_rerouted,
+            "reroutes": res.reroutes if res is not None else 0,
+            "flaps_suppressed": (res.flaps_suppressed
+                                 if res is not None else 0),
+            "dead_ranks": len(world.dead),
+        })
+        if state["open_bodies"] <= len(world.dead) and open_msgs == 0:
+            return None
+        return terminal, net.chunks_forwarded + net.chunks_retried
 
-    world.sim.daemon(proc(), name=f"fabric-soak-checkpoint-{spec.name}")
+    _stall_watchdog(world.sim, f"fabric-soak-checkpoint-{spec.name}",
+                    spec.checkpoint_interval, spec.stall_limit, sample)
 
 
 def run_fabric_soak(spec: FabricSoakSpec) -> dict:
@@ -399,7 +392,7 @@ def run_fabric_soak(spec: FabricSoakSpec) -> dict:
     """
     from repro.fabric.mpi import launch_fabric_world
     from repro.fabric.resilience import resilient_allreduce
-    from repro.fabric.sweep import make_topology
+    from repro.fabric.sweep import _net_stats, make_topology
 
     topo = make_topology(spec.topology, spec.hosts, spec.oversubscription,
                          4, ecmp_seed=spec.plan.seed)
@@ -422,8 +415,6 @@ def run_fabric_soak(spec: FabricSoakSpec) -> dict:
         world.finish()
     except AssertionError as exc:
         sanitizer.append(str(exc))
-    net = world.net
-    res = net.resilience
     report = {
         "soak": spec.name,
         "topology": topo.name,
@@ -438,22 +429,15 @@ def run_fabric_soak(spec: FabricSoakSpec) -> dict:
         "stale_drained": world.stale_drained,
         "injected": armed.counters(),
         "checkpoints": checkpoints,
-        "net": {
-            "msgs_sent": net.msgs_sent,
-            "msgs_delivered": net.msgs_delivered,
-            "msgs_failed": net.msgs_failed,
-            "chunks_forwarded": net.chunks_forwarded,
-            "chunks_dropped": net.chunks_dropped,
-            "chunks_rerouted": net.chunks_rerouted,
-            "chunks_retried": net.chunks_retried,
-        },
+        "net": _net_stats(world),
         "sanitizer": sanitizer,
         "end_time": world.sim.now,
     }
+    res = world.net.resilience
     if res is not None:
         report["resilience"] = res.snapshot()
-    if world.liveness is not None:
-        report["liveness"] = world.liveness.snapshot()
+    if world.dead:
+        report["liveness"] = world.liveness_snapshot()
     return report
 
 

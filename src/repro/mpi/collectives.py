@@ -213,28 +213,35 @@ def allreduce(rank: "Rank", sendbuf, recvbuf, length=None,
     return None
 
 
-def _allreduce_ring(rank: "Rank", buf, n: int, tag: int) -> Generator:
+def _allreduce_ring(rank: "Rank", buf, n: int, tag: int,
+                    members=None) -> Generator:
     """Reduce-scatter ring + allgather ring over ``buf`` (already seeded).
 
-    Blocks are cut on 4-byte boundaries so the float32 reduction view stays
-    aligned; the last rank's block absorbs the remainder.  Zero-sized
-    blocks (buffers smaller than 4p bytes) skip their wire steps, like
-    :func:`allgatherv` does.
+    ``members`` is the sorted list of rank ids forming the ring (default:
+    every rank); a shrunk ring over the survivors of a crash-stop is the
+    same algorithm over fewer members.  Blocks are cut on 4-byte
+    boundaries so the float32 reduction view stays aligned; the last
+    member's block absorbs the remainder.  Zero-sized blocks (buffers
+    smaller than 4p bytes) skip their wire steps, like :func:`allgatherv`
+    does.
     """
-    p = rank.size
-    if n == 0:
+    if members is None:
+        members = range(rank.size)
+    p = len(members)
+    if p == 1 or n == 0:
         return None
+    me = members.index(rank.rank)
     base = (n // p) & ~3
     sizes = [base] * (p - 1) + [n - base * (p - 1)]
     displs = [base * i for i in range(p)]
-    right = (rank.rank + 1) % p
-    left = (rank.rank - 1) % p
+    right = members[(me + 1) % p]
+    left = members[(me - 1) % p]
     tmp = _scratch(rank, "arr_tmp", sizes[p - 1])
-    # Phase 1: reduce-scatter ring; after step s, block (r - s - 1) % p on
-    # rank r holds the partial sum of s + 2 contributions.
+    # Phase 1: reduce-scatter ring; after step s, block (m - s - 1) % p on
+    # member m holds the partial sum of s + 2 contributions.
     for step in range(p - 1):
-        sb = (rank.rank - step) % p
-        rb = (rank.rank - step - 1) % p
+        sb = (me - step) % p
+        rb = (me - step - 1) % p
         sn, rn = sizes[sb], sizes[rb]
         rreq = sreq = None
         if rn:
@@ -249,8 +256,8 @@ def _allreduce_ring(rank: "Rank", buf, n: int, tag: int) -> Generator:
             yield from _accumulate(rank, buf, displs[rb], tmp, 0, rn)
     # Phase 2: allgather ring, forwarding the newest finished block.
     for step in range(p - 1):
-        sb = (rank.rank + 1 - step) % p
-        rb = (rank.rank - step) % p
+        sb = (me + 1 - step) % p
+        rb = (me - step) % p
         sn, rn = sizes[sb], sizes[rb]
         rreq = sreq = None
         if rn:

@@ -200,9 +200,9 @@ LAZY_POINT_KINDS: dict[str, str] = {
     "fault_cell": "repro.faults.campaign:point_fault_cell",
     "cpu_profile": "repro.obs.profiler:point_cpu_profile",
     "vectored": "repro.workloads.vectored:point_vectored",
-    "fabric": "repro.fabric.sweep:point_fabric",
-    "fabric_cell": "repro.fabric.sweep:point_fabric_cell",
-    "imb_fabric": "repro.fabric.sweep:point_imb_fabric",
+    "fabric": "repro.fabric.sweep:run_fabric_collective",
+    "fabric_cell": "repro.fabric.sweep:run_fabric_cell",
+    "imb_fabric": "repro.fabric.sweep:run_imb_fabric",
 }
 
 

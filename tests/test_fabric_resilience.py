@@ -12,26 +12,36 @@ The ISSUE's acceptance bars, as tier-1 tests:
   (``fabric_route_flaps_suppressed > 0`` with stable final routes);
 * crash-stop rank kills drain sanitizer-clean as the typed
   :class:`~repro.core.errors.RankDead` (abort-and-report) or shrink the
-  ring over the survivors (``resilient_allreduce``);
+  ring over the survivors (``resilient_allreduce``), and the shrunk ring
+  computes the survivors' sum on real bytes;
 * the chaos campaign covers all five outcome classes, byte-identical per
   seed; random seeded flap schedules (hypothesis) never partition a
   still-connected fat-tree and never perturb determinism;
-* the fabric soaks run to quiescence with live livelock checkpoints.
+* the fabric soaks run to quiescence with live livelock checkpoints, and
+  the shared stall watchdog trips on no progress.
 """
+
+import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.cluster.host as host_mod
 from repro.core.errors import RankDead, TransferError
+from repro.ethernet.switch import build_switched_testbed
 from repro.fabric.build import build_fabric_testbed
 from repro.fabric.mpi import launch_fabric_world
 from repro.fabric.resilience import (
+    HOLD_DOWN,
+    REOPEN_SAMPLES,
+    TRIP_SAMPLES,
+    WINDOW,
     FabricResilience,
     LinkBreaker,
     LinkHealth,
     LinkHealthEstimator,
-    ResilienceParams,
     resilient_allreduce,
     trunk_health_snapshot,
 )
@@ -47,12 +57,20 @@ from repro.faults import (
     FabricFlapSpec,
     FabricLossySpec,
     FaultPlan,
+    LivelockError,
     NoTrunksError,
     RankFaultSpec,
     arm_plan,
+    fabric_soak_suite,
     flap_windows,
+    run_fabric_soak,
     run_fabric_soak_suite,
 )
+from repro.faults.soak import _stall_watchdog
+from repro.mpi import create_world
+from repro.mpi.collectives import _allreduce_ring
+from repro.simkernel import Simulator
+from repro.simkernel.errors import SimulationError
 from repro.units import KiB, us
 
 MAXEV = 50_000_000
@@ -71,21 +89,11 @@ def _trunks(**kw):
 
 
 # ---------------------------------------------------------------------------
-# units: params, flap schedules, estimator, breaker
+# units: flap schedules, estimator, breaker
 # ---------------------------------------------------------------------------
 
 
 class TestUnits:
-    @pytest.mark.parametrize("bad", [
-        dict(window=0), dict(phase_jitter=1.0), dict(drop_threshold=0.0),
-        dict(busy_threshold=1.5), dict(trip_samples=0),
-        dict(reopen_samples=0), dict(hold_down=-1),
-        dict(max_chunk_retries=-1),
-    ])
-    def test_params_validate_rejects(self, bad):
-        with pytest.raises(ValueError):
-            ResilienceParams(**bad).validate()
-
     def test_flap_windows_seeded_and_ordered(self):
         spec = FabricFlapSpec(link="edge0~spine0", at=us(50),
                               period=us(400), duty=0.5, cycles=3,
@@ -105,14 +113,13 @@ class TestUnits:
         net = world.net
         trunk = _trunks()[0]
         ports = net.ports_of_link(trunk)
-        params = ResilienceParams()
-        est = LinkHealthEstimator(trunk, ports, params)
-        assert est.sample(params.window) is LinkHealth.HEALTHY
+        est = LinkHealthEstimator(trunk, ports)
+        assert est.sample() is LinkHealth.HEALTHY
         ports[0].service_scale = 4.0  # noqa: FAB001 — unit pokes the port
-        assert est.sample(params.window) is LinkHealth.DEGRADED
+        assert est.sample() is LinkHealth.DEGRADED
         ports[0].service_scale = 1.0  # noqa: FAB001
         ports[0].alive = False
-        assert est.sample(params.window) is LinkHealth.DEAD
+        assert est.sample() is LinkHealth.DEAD
         assert est.samples == 3
 
     def test_breaker_trips_holds_down_then_reopens(self):
@@ -121,26 +128,25 @@ class TestUnits:
         trunk = _trunks()[0]
         link = net.spec.link_named(trunk)
         res = FabricResilience(net, seed="unit")
-        p = res.params
         br = LinkBreaker(res, trunk, link.a, link.b)
         now = 0
-        for _ in range(p.trip_samples):
+        for _ in range(TRIP_SAMPLES):
             br.on_sample(LinkHealth.DEGRADED, now)
-            now += p.window
+            now += WINDOW
         assert br.state == "open" and res.demotions == 1
         assert res.reroutes == 1
         # healthy inside the hold-down: refused, counted as suppressed
-        for _ in range(p.reopen_samples + 2):
+        for _ in range(REOPEN_SAMPLES + 2):
             br.on_sample(LinkHealth.HEALTHY, now)
-            now += p.window
+            now += WINDOW
         assert br.state == "open"
-        assert res.flaps_suppressed >= p.reopen_samples
+        assert res.flaps_suppressed >= REOPEN_SAMPLES
         # past the hold-down AND a fresh healthy streak: restored
-        now = br.tripped_at + p.hold_down + 1
+        now = br.tripped_at + HOLD_DOWN + 1
         br.healthy_streak = 0
-        for _ in range(p.reopen_samples):
+        for _ in range(REOPEN_SAMPLES):
             br.on_sample(LinkHealth.HEALTHY, now)
-            now += p.window
+            now += WINDOW
         assert br.state == "closed"
         assert res.restorations == 1 and res.reroutes == 2
 
@@ -260,6 +266,46 @@ class TestCrashStop:
         assert done == survivors  # every survivor finished, the dead did not
         assert epoch == 1
         assert run() == (done, survivors, epoch, end)  # deterministic
+
+    @pytest.mark.parametrize("n", [4 * KiB, 4 * KiB + 4, 12, 8])
+    def test_shrunk_ring_sums_real_bytes(self, n, monkeypatch):
+        """The shrunk ring is the normal ring over ``members``: on a
+        byte-moving testbed, ranks 0, 1 and 3 end with 1 + 2 + 4 and rank
+        2, outside the ring, keeps its own contribution.  4 KiB + 4 gives
+        the last member a remainder block; 12 B is one float per block;
+        8 B (below 4p) leaves two members with empty blocks.
+
+        NIC MACs come from a process-global host-id counter that feeds
+        the switches' ECMP hash; a private counter keeps this test from
+        shifting the paths of testbeds that later tests build."""
+        monkeypatch.setattr(host_mod, "_HOST_IDS", itertools.count(1000))
+        comm = create_world(build_switched_testbed(4), ppn=1)
+        members = [0, 1, 3]
+        out = {}
+
+        def body(rank):
+            buf = rank.space.alloc(n)
+            buf.read().view(np.float32)[:] = float(rank.rank + 1)
+            if rank.rank in members:
+                yield from _allreduce_ring(rank, buf, n, 0x4000_0000,
+                                           members=members)
+            out[rank.rank] = buf.read().view(np.float32).copy()
+
+        comm.run_spmd(body, max_events=MAXEV)
+        for r in members:
+            assert np.all(out[r] == 7.0), r
+        assert np.all(out[2] == 3.0)
+
+    def test_send_checked_before_declaration_cannot_escape_it(self):
+        """Regression: a send gated before the declaration wave whose send
+        CPU ran past it used to enter the network anyway, and its epoch-0
+        message outlived the stale drain (``fabric teardown: unconsumed
+        messages``).  The gate now runs again after the send CPU."""
+        spec = next(s for s in fabric_soak_suite("soak-0")
+                    if s.name == "gray-crash")
+        report = run_fabric_soak(dataclasses.replace(spec, rounds=4))
+        assert report["sanitizer"] == []
+        assert report["dead_ranks"] == [2] and report["epoch"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +449,34 @@ class TestFabricSoak:
         crash = next(r for r in a["runs"] if r["soak"] == "gray-crash")
         assert crash["dead_ranks"] == [2] and crash["epoch"] == 1
         assert crash["net"]["msgs_failed"] > 0  # the typed drain, counted
+
+
+class TestStallWatchdog:
+    def test_no_progress_raises_livelock_naming_the_run(self):
+        sim = Simulator()
+        samples = []
+
+        def sample():
+            samples.append(sim.now)
+            return (0, 0)  # never moves
+
+        _stall_watchdog(sim, "soak-checkpoint-stuck", 10, 3, sample)
+        with pytest.raises(SimulationError) as exc:
+            sim.run()
+        cause = exc.value.__cause__
+        assert isinstance(cause, LivelockError)
+        assert "soak-checkpoint-stuck" in str(cause)
+        # the first sample sets the marker; three unchanged ones trip
+        assert samples == [10, 20, 30, 40]
+
+    def test_done_sample_ends_the_daemon_and_drains(self):
+        sim = Simulator()
+        marks = iter([(1,), (1,), (2,), None])
+        _stall_watchdog(sim, "soak-checkpoint-done", 10, 2,
+                        lambda: next(marks))
+        sim.run()  # returns: the daemon ended, nothing keeps the heap alive
+        assert sim.now == 40
+        sim.finish()
 
 
 class TestImbFabric:
