@@ -386,7 +386,6 @@ class TestFlapProperty:
 
 class TestHardwareGray:
     def _sums(self, tb, n=4 * KiB):
-        from repro.mpi import create_world
         comm = create_world(tb, ppn=1)
         out = {}
 
@@ -476,7 +475,6 @@ class TestStallWatchdog:
                         lambda: next(marks))
         sim.run()  # returns: the daemon ended, nothing keeps the heap alive
         assert sim.now == 40
-        sim.finish()
 
 
 class TestImbFabric:
