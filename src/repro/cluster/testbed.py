@@ -70,12 +70,8 @@ def build_testbed(
     from repro.fabric.build import build_fabric_testbed
     from repro.fabric.spec import pair_topology
 
-    if platform is None:
-        platform = clovertown_5000x(**omx_overrides)
-    elif omx_overrides:
-        platform = platform.with_omx(**omx_overrides)
     return build_fabric_testbed(pair_topology(), platform=platform,
-                                stacks=stacks)
+                                stacks=stacks, **omx_overrides)
 
 
 def build_single_node(

@@ -33,7 +33,7 @@ schedule-identical to the pre-refactor code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.ioat.api import DmaCookie, IoatDmaApi
 from repro.ioat.channel import DmaChannel
@@ -42,7 +42,6 @@ from repro.memory.layout import count_page_aligned_chunks
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
     from repro.core.offload import MessageOffloadState
-    from repro.ioat.descriptor import CopyDescriptor
     from repro.memory.buffers import MemoryRegion
     from repro.params import IoatParams, OmxConfig
     from repro.simkernel.cpu import Core
@@ -172,10 +171,10 @@ class LaneTicket:
 class CopyBackend:
     """One copy engine behind the offload manager.
 
-    Single-lane default implementations (poll / done-test / drain / reap
-    against ``state.channel``) match the dmaengine-style I/OAT semantics;
-    multi-lane backends override them.  All generator methods run in BH
-    context — the caller holds ``core``.
+    Single-lane default implementations (submit / poll / done-test / drain
+    / reap against ``state.channel``) are the dmaengine-style I/OAT
+    semantics; other engines override what they model differently.  All
+    generator methods run in BH context — the caller holds ``core``.
     """
 
     #: registry key and display name
@@ -232,9 +231,11 @@ class CopyBackend:
         dst_off: int,
         length: int,
     ) -> Generator:
-        """Queue one fragment copy; appends the pending entry to ``state``
-        and returns its ticket."""
-        raise NotImplementedError
+        """Queue one fragment copy and return its ticket; the manager files
+        the pending entry.  The default submits page-contained descriptors
+        to the message's channel through :meth:`IoatDmaApi.submit_copy`."""
+        return self.api.submit_copy(core, skb.head, skb_off, dst, dst_off,
+                                    length, "bh", state.channel)
 
     def poll_pending(self, core: "Core",
                      state: "MessageOffloadState") -> Generator:

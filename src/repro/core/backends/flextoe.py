@@ -22,9 +22,9 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Generator
 
 from repro.core.backends.base import LaneBackend, LaneTicket, register_backend
-from repro.ioat.api import DmaCookie
+from repro.ioat.api import DmaCookie, descriptor_pieces, wait_ring_slot
 from repro.ioat.descriptor import CopyDescriptor
-from repro.memory.layout import count_page_aligned_chunks, page_aligned_chunks
+from repro.memory.layout import count_page_aligned_chunks
 from repro.units import GiB, ns
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,18 +67,9 @@ class FlexToeBackend(LaneBackend):
         dst_off: int,
         length: int,
     ) -> Generator:
-        from repro.core.offload import PendingCopy
-
         src = skb.head
-        n_chunks = count_page_aligned_chunks(
-            src.addr + skb_off, dst.addr + dst_off, length
-        )
-        if n_chunks == 1:
-            pieces = ((0, 0, length),)
-        else:
-            pieces = page_aligned_chunks(
-                src.addr + skb_off, dst.addr + dst_off, length
-            )
+        n_chunks, pieces = descriptor_pieces(src.addr + skb_off,
+                                             dst.addr + dst_off, length)
         lanes = self.lanes.channels
         n_lanes = len(lanes)
         cursor = state.backend_state or 0
@@ -88,13 +79,8 @@ class FlexToeBackend(LaneBackend):
         sizes: dict[int, int] = {}
         for i, (rel_src, rel_dst, n) in enumerate(pieces):
             ch = lanes[(cursor + i) % n_lanes]
-            while ch.ring.free_slots == 0:
-                ch.reap()
-                if ch.ring.free_slots:
-                    break
-                start = core.sim.now
-                yield ch.wait_completion().wait()
-                core.account("bh", core.sim.now - start, phase="dma_wait")
+            if ch.ring.free_slots == 0:
+                yield from wait_ring_slot(core, ch, "bh")
             if sc:
                 yield sc
             core.account("bh", sc, "dma_submit")
@@ -107,18 +93,13 @@ class FlexToeBackend(LaneBackend):
         self.api.copies_submitted += 1
         self.api.descriptors_submitted += n_chunks
         by_index = {ch.index: ch for ch in lanes}
-        ticket = LaneTicket(
+        return LaneTicket(
             parts=tuple(
                 DmaCookie(by_index[idx], cookie, sizes[idx], counts[idx])
                 for idx, cookie in last.items()
             ),
             nbytes=length,
         )
-        state.pending.append(
-            PendingCopy(ticket, skb, skb_off, dst, dst_off, length)
-        )
-        state.offloaded_bytes += length
-        return ticket
 
     # -- completion: tickets span lanes, so poll/drain cover the group --
 

@@ -1,27 +1,17 @@
 """The paper's engine — host-chipset I/OAT — as a backend.
 
-This is a *move*, not a rewrite, of the pre-backend offload code paths:
-the submit loop below is the former ``OffloadManager.copy_fragment``
-offload branch verbatim (itself the inlined ``IoatDmaApi.submit_copy``),
-and poll/drain/reap delegate to the same facade calls ``cleanup``/
-``wait_all`` used to make.  The refactor is schedule-identical — the nine
-figure pipelines replay with bit-identical event counts (checked against
-the pre-refactor tree; see DESIGN.md §15).
+Every method is the :class:`~repro.core.backends.base.CopyBackend`
+default: fragments go through :meth:`repro.ioat.api.IoatDmaApi.submit_copy`
+on the message's host channel (page-contained descriptors, ~350 ns of CPU
+each, the ring-full reap/wait of :func:`repro.ioat.api.wait_ring_slot`),
+and poll/drain/reap use the same facade calls.  Selecting it replays the
+nine figure pipelines with the event counts of the pre-backend code
+(DESIGN.md §15).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
-
 from repro.core.backends.base import CopyBackend, register_backend
-from repro.ioat.api import DmaCookie
-from repro.ioat.descriptor import CopyDescriptor
-from repro.memory.layout import count_page_aligned_chunks, page_aligned_chunks
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.offload import MessageOffloadState
-    from repro.memory.buffers import MemoryRegion
-    from repro.simkernel.cpu import Core
 
 
 @register_backend
@@ -29,56 +19,3 @@ class IoatBackend(CopyBackend):
     """Asynchronous descriptor submission to the message's host channel."""
 
     name = "ioat"
-
-    def submit_fragment(
-        self,
-        core: "Core",
-        state: "MessageOffloadState",
-        skb,
-        skb_off: int,
-        dst: "MemoryRegion",
-        dst_off: int,
-        length: int,
-    ) -> Generator:
-        from repro.core.offload import PendingCopy
-
-        ioat = self.api
-        ch = state.channel
-        src = skb.head
-        # IoatDmaApi.submit_copy inlined (schedule-identical: same reap /
-        # ring-full wait / per-descriptor yield sequence) — fragments
-        # run once per wire frame, and the delegated generator frame is
-        # pure overhead at that rate.
-        n_chunks = count_page_aligned_chunks(
-            src.addr + skb_off, dst.addr + dst_off, length
-        )
-        if n_chunks == 1:
-            pieces = ((0, 0, length),)
-        else:
-            pieces = page_aligned_chunks(
-                src.addr + skb_off, dst.addr + dst_off, length
-            )
-        sc = ioat.params.submit_cost
-        last = -1
-        for rel_src, rel_dst, n in pieces:
-            while ch.ring.free_slots == 0:
-                ch.reap()
-                if ch.ring.free_slots:
-                    break
-                start = core.sim.now
-                yield ch.wait_completion().wait()
-                core.account("bh", core.sim.now - start, phase="dma_wait")
-            if sc:
-                yield sc
-            core.account("bh", sc, "dma_submit")
-            last = ch.submit(CopyDescriptor(
-                src, skb_off + rel_src, dst, dst_off + rel_dst, n
-            ))
-        ioat.copies_submitted += 1
-        ioat.descriptors_submitted += n_chunks
-        cookie = DmaCookie(ch, last, length, n_chunks)
-        state.pending.append(
-            PendingCopy(cookie, skb, skb_off, dst, dst_off, length)
-        )
-        state.offloaded_bytes += length
-        return cookie

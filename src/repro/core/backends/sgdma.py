@@ -21,9 +21,9 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Generator
 
 from repro.core.backends.base import LaneBackend, register_backend
-from repro.ioat.api import DmaCookie
+from repro.ioat.api import DmaCookie, descriptor_pieces, wait_ring_slot
 from repro.ioat.descriptor import CopyDescriptor
-from repro.memory.layout import count_page_aligned_chunks, page_aligned_chunks
+from repro.memory.layout import count_page_aligned_chunks
 from repro.units import ns
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,19 +80,10 @@ class SgdmaBackend(LaneBackend):
         dst_off: int,
         length: int,
     ) -> Generator:
-        from repro.core.offload import PendingCopy
-
         ch = state.channel
         src = skb.head
-        n_chunks = count_page_aligned_chunks(
-            src.addr + skb_off, dst.addr + dst_off, length
-        )
-        if n_chunks == 1:
-            pieces = ((0, 0, length),)
-        else:
-            pieces = page_aligned_chunks(
-                src.addr + skb_off, dst.addr + dst_off, length
-            )
+        n_chunks, pieces = descriptor_pieces(src.addr + skb_off,
+                                             dst.addr + dst_off, length)
         # Build the whole chain up front: one CPU charge for setup plus
         # per-element appends, then the doorbell; the engine fetches the
         # elements itself — no per-descriptor CPU yield.
@@ -101,13 +92,8 @@ class SgdmaBackend(LaneBackend):
         core.account("bh", build, "dma_submit")
         last = -1
         for rel_src, rel_dst, n in pieces:
-            while ch.ring.free_slots == 0:
-                ch.reap()
-                if ch.ring.free_slots:
-                    break
-                start = core.sim.now
-                yield ch.wait_completion().wait()
-                core.account("bh", core.sim.now - start, phase="dma_wait")
+            if ch.ring.free_slots == 0:
+                yield from wait_ring_slot(core, ch, "bh")
             last = ch.submit(CopyDescriptor(
                 src, skb_off + rel_src, dst, dst_off + rel_dst, n
             ))
@@ -115,12 +101,7 @@ class SgdmaBackend(LaneBackend):
         self.api.descriptors_submitted += n_chunks
         self.chains_submitted += 1
         self.elements_chained += n_chunks
-        cookie = DmaCookie(ch, last, length, n_chunks)
-        state.pending.append(
-            PendingCopy(cookie, skb, skb_off, dst, dst_off, length)
-        )
-        state.offloaded_bytes += length
-        return cookie
+        return DmaCookie(ch, last, length, n_chunks)
 
     def fragment_cost(self, src_addr: int, dst_addr: int,
                       length: int) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Generator
 
 from repro.core.backends.base import LaneBackend, register_backend
-from repro.ioat.api import DmaCookie
+from repro.ioat.api import DmaCookie, wait_ring_slot
 from repro.ioat.descriptor import CopyDescriptor
 from repro.units import GiB, ns
 
@@ -73,19 +73,12 @@ class SpinBackend(LaneBackend):
         dst_off: int,
         length: int,
     ) -> Generator:
-        from repro.core.offload import PendingCopy
-
         ch = state.channel
         src = skb.head
         # One handler invocation per fragment: no page-chunk split, the
         # handler walks the fragment on the NIC side.
-        while ch.ring.free_slots == 0:
-            ch.reap()
-            if ch.ring.free_slots:
-                break
-            start = core.sim.now
-            yield ch.wait_completion().wait()
-            core.account("bh", core.sim.now - start, phase="dma_wait")
+        if ch.ring.free_slots == 0:
+            yield from wait_ring_slot(core, ch, "bh")
         sc = self.api.params.submit_cost
         if sc:
             yield sc
@@ -94,12 +87,7 @@ class SpinBackend(LaneBackend):
         self.api.copies_submitted += 1
         self.api.descriptors_submitted += 1
         self.handler_invocations += 1
-        cookie = DmaCookie(ch, last, length, 1)
-        state.pending.append(
-            PendingCopy(cookie, skb, skb_off, dst, dst_off, length)
-        )
-        state.offloaded_bytes += length
-        return cookie
+        return DmaCookie(ch, last, length, 1)
 
     def __init__(self, host: "Host", config: "OmxConfig"):
         super().__init__(host, config)

@@ -845,11 +845,6 @@ class OmxStack:
         self.config = config if config is not None else host.platform.omx
         self.driver = OmxDriver(host, self.config)
 
-    @property
-    def delivers_data(self) -> bool:
-        """False in the Fig. 3 ``ignore_bh_copy`` prediction mode."""
-        return not self.config.ignore_bh_copy
-
     def open_endpoint(self, ep_id: int, space=None) -> "OmxEndpoint":
         from repro.core.endpoint import OmxEndpoint
 

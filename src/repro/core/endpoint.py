@@ -21,17 +21,12 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.core.types import EagerRing, EvType, OmxEvent, OmxRequest
 from repro.memory.buffers import AddressSpace, MemoryRegion
-from repro.mx.wire import EndpointAddr
+from repro.mx.wire import EndpointAddr, match_accepts
 from repro.simkernel.sync import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.driver import OmxDriver
     from repro.simkernel.cpu import Core
-
-
-def match_accepts(recv_match: int, recv_mask: int, send_match: int) -> bool:
-    """MX matching rule: masked bits of the match info must agree."""
-    return (send_match & recv_mask) == (recv_match & recv_mask)
 
 
 @dataclass

@@ -26,22 +26,18 @@ Large messages (rendezvous) are untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.core.offload import MessageOffloadState
 from repro.core.types import EvType, OmxEvent, OmxRequest
-from repro.mx.wire import EndpointAddr, MxPacket
+from repro.mx.wire import EndpointAddr, MxPacket, match_accepts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.driver import OmxDriver
     from repro.core.endpoint import OmxEndpoint
     from repro.ethernet.skbuff import Skbuff
     from repro.simkernel.cpu import Core
-
-
-def _match_accepts(recv_match: int, recv_mask: int, send_match: int) -> bool:
-    return (send_match & recv_mask) == (recv_match & recv_mask)
 
 
 @dataclass
@@ -137,7 +133,7 @@ class KernelMatcher:
     def _match(self, ep_id: int, send_match: int) -> Optional[_PostedRecv]:
         entries = self._posted.get(ep_id, [])
         for i, entry in enumerate(entries):
-            if _match_accepts(entry.req.match_info, entry.req.mask, send_match):
+            if match_accepts(entry.req.match_info, entry.req.mask, send_match):
                 return entries.pop(i)
         return None
 
@@ -176,17 +172,19 @@ class KernelMatcher:
         n = min(pkt.data_length, max(req.length - pkt.offset, 0))
         offloaded = False
         if n and not self.config.ignore_bh_copy:
-            backend = self.driver.offload.backend
+            manager = self.driver.offload
+            state = asm.offload
+            # Own size rule first (never the last fragment: it completes the
+            # message), then the manager's channel and breaker gates.
             if (
-                asm.offload is not None
-                and not asm.offload.memcpy_only
-                and n >= backend.min_frag(self.config)
-                and asm.offload.pending_count < self.config.max_pending_skbuffs
+                state is not None
+                and n >= manager.backend.min_frag(self.config)
+                and state.pending_count < self.config.max_pending_skbuffs
                 and pkt.frag_index < pkt.frag_count - 1
+                and manager.channel_usable(state)
             ):
-                yield from backend.submit_fragment(
-                    core, asm.offload, skb, 0, req.region,
-                    req.offset + pkt.offset, n,
+                yield from manager.offload_fragment(
+                    core, state, skb, 0, req.region, req.offset + pkt.offset, n,
                 )
                 self.frags_offloaded += 1
                 offloaded = True

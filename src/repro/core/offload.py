@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from repro.core.backends import create_backend
 from repro.ethernet.skbuff import Skbuff
@@ -160,8 +160,22 @@ class OffloadManager:
         if not self.config.ioat_enabled or self.config.ignore_bh_copy:
             return False
         backend = self.backend
-        if not backend.offloads:
+        if not backend.offloads or not self.channel_usable(state):
             return False
+        if (msg_len < backend.min_msg(self.config)
+                or frag_len < backend.min_frag(self.config)):
+            return False
+        if state.pending_count >= self.config.max_pending_skbuffs:
+            self.starvation_fallbacks += 1
+            return False
+        return True
+
+    def channel_usable(self, state: MessageOffloadState) -> bool:
+        """The channel half of :meth:`should_offload`: False when the
+        message is memcpy-only, its channel failed, or the channel's
+        breaker is open — each refusal counted and fed to the breaker.
+        Callers with their own size rule (kernel matching) call this after
+        it, so every offload passes the same gates."""
         health = self.host.health
         if state.memcpy_only:
             # Assignment found every breaker open.  Each refused fragment
@@ -182,12 +196,6 @@ class OffloadManager:
         if health is not None and not health.allows_offload(state.channel):
             # Breaker open: memcpy-only until a half-open probe re-opens it.
             self.breaker_shortcircuits += 1
-            return False
-        if (msg_len < backend.min_msg(self.config)
-                or frag_len < backend.min_frag(self.config)):
-            return False
-        if state.pending_count >= self.config.max_pending_skbuffs:
-            self.starvation_fallbacks += 1
             return False
         return True
 
@@ -213,9 +221,8 @@ class OffloadManager:
             # Fig. 3 prediction mode: the copy is skipped entirely.
             return False
         if self.should_offload(state, msg_len, length):
-            yield from self.backend.submit_fragment(
-                core, state, skb, skb_off, dst, dst_off, length
-            )
+            yield from self.offload_fragment(core, state, skb, skb_off, dst,
+                                             dst_off, length)
             self.frags_offloaded += 1
             return True
         copier = self.host.copier
@@ -228,6 +235,27 @@ class OffloadManager:
         state.copied_bytes += length
         self.frags_memcpy += 1
         return False
+
+    def offload_fragment(
+        self,
+        core: "Core",
+        state: MessageOffloadState,
+        skb: Skbuff,
+        skb_off: int,
+        dst: MemoryRegion,
+        dst_off: int,
+        length: int,
+    ) -> Generator:
+        """Submit one fragment through the backend and file it as pending:
+        the skbuff stays alive until the copy is reaped (§III-B)."""
+        ticket = yield from self.backend.submit_fragment(
+            core, state, skb, skb_off, dst, dst_off, length
+        )
+        state.pending.append(
+            PendingCopy(ticket, skb, skb_off, dst, dst_off, length)
+        )
+        state.offloaded_bytes += length
+        return ticket
 
     def cleanup(self, core: "Core", state: MessageOffloadState) -> Generator:
         """§III-B cleanup routine: poll once, free completed skbuffs.

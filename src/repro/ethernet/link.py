@@ -283,7 +283,3 @@ class Link:
         first, the hook only sees frames the injector delivered.
         """
         (self.a_to_b if direction_a2b else self.b_to_a).fault = hook
-
-    def rate_mib_s(self) -> float:
-        """Link bandwidth in MiB/s (convenience for reports)."""
-        return self.bw / (1024 * 1024)

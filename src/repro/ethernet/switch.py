@@ -223,10 +223,6 @@ def build_switched_testbed(n_nodes: int, platform=None, **omx_overrides):
     """
     from repro.fabric.build import build_fabric_testbed
     from repro.fabric.spec import star_topology
-    from repro.params import clovertown_5000x
 
-    if platform is None:
-        platform = clovertown_5000x(**omx_overrides)
-    elif omx_overrides:
-        platform = platform.with_omx(**omx_overrides)
-    return build_fabric_testbed(star_topology(n_nodes), platform=platform)
+    return build_fabric_testbed(star_topology(n_nodes), platform=platform,
+                                **omx_overrides)

@@ -20,47 +20,22 @@ against the seed tree):
   forwarding behavior event for event.
 
 Multi-switch specs get static ECMP routes: for every (switch, destination
-host) pair the candidate egress ports are the neighbors one hop closer to
-the destination's edge switch (BFS over the trunk graph, recomputed per
-edge and shared by all hosts behind it), and the frame-time pick is a
-seeded crc32 over the (src, dst) MAC pair — deterministic, per-flow
-stable, and independent of dispatch order.
+host) pair the candidate egress ports are the next hops of
+:meth:`repro.fabric.routing.RouteTables.table_for` toward the
+destination's edge switch — the same tables the chunk-level fabric
+routes by — and the frame-time pick is a seeded crc32 over the (src, dst)
+MAC pair — deterministic, per-flow stable, and independent of dispatch
+order.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
+from repro.fabric.routing import RouteTables
 from repro.fabric.spec import TopologySpec
 
 StackName = str  # "omx" | "mx"
-
-
-def _switch_adjacency(spec: TopologySpec) -> dict[str, list[str]]:
-    """Switch-to-switch adjacency (sorted, deterministic)."""
-    switches = set(spec.switch_names())
-    adj: dict[str, list[str]] = {s: [] for s in sorted(switches)}
-    for l in spec.links:
-        if l.a in switches and l.b in switches:
-            adj[l.a].append(l.b)
-            adj[l.b].append(l.a)
-    for peers in adj.values():
-        peers.sort()
-    return adj
-
-
-def _bfs_dist(adj: dict[str, list[str]], start: str) -> dict[str, int]:
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for peer in adj[node]:
-                if peer not in dist:
-                    dist[peer] = dist[node] + 1
-                    nxt.append(peer)
-        frontier = nxt
-    return dist
 
 
 def build_fabric_testbed(spec: TopologySpec,
@@ -164,21 +139,17 @@ def build_fabric_testbed(spec: TopologySpec,
     # Static ECMP routes — multi-switch only; a lone switch keeps the
     # historical learning behavior (bit-identical to the old factory).
     if len(spec.switches) > 1:
-        adj = _switch_adjacency(spec)
-        dist_to_edge = {e: _bfs_dist(adj, e)
-                        for e in sorted({spec.edge_of(h) for h in spec.hosts})}
+        routes = RouteTables(spec)
         for host in spec.hosts:
-            edge = spec.edge_of(host)
+            edge = routes.edge_of[host]
             mac = hosts[host_index[host]].nic.mac
-            dist = dist_to_edge[edge]
+            table = routes.table_for(edge)
             for sw_name in spec.switch_names():
                 if sw_name == edge:
                     ports = [port_map[(sw_name, host)]]
-                elif sw_name in dist:
-                    here = dist[sw_name]
+                elif sw_name in table:
                     ports = [port_map[(sw_name, nbr)]
-                             for nbr in adj[sw_name]
-                             if dist.get(nbr, here) == here - 1]
+                             for nbr in table[sw_name]]
                 else:
                     continue  # unreachable from this edge; no route
                 switches[sw_name].add_route(mac, ports)

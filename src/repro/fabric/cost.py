@@ -35,7 +35,6 @@ from repro.units import (
     ETHERNET_HEADER_LEN,
     ETHERNET_WIRE_OVERHEAD,
     KiB,
-    SEC,
     transfer_time,
 )
 
@@ -154,8 +153,3 @@ def cost_table(platform: Platform = None, backend: str = "memcpy",
         dma_bw=0.0,
         dma_base=0,
     )
-
-
-def reduce_ticks(nbytes: int, reduce_bw: float) -> int:
-    """CPU ticks for a local reduction over ``nbytes`` (collectives)."""
-    return max(int(round(nbytes * SEC / reduce_bw)), 1)

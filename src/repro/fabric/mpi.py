@@ -1,10 +1,11 @@
 """Scalable rank launcher: `repro.mpi.collectives` over a FabricNetwork.
 
-A :class:`FabricRank` implements the slice of the
-:class:`~repro.mpi.comm.Rank` protocol the collective generators consume —
-``isend/irecv/send/recv/sendrecv/wait`` (generators), ``core.execute``,
-``space.alloc``, ``rank``/``size``/``sim`` — so barrier, bcast, allreduce,
-alltoall and reduce_scatter run **unmodified** over a 1024-host fabric.
+A :class:`FabricRank` is a :class:`~repro.mpi.comm.Rank` that replaces
+only the three point-to-point primitives (``isend``/``irecv``/``wait``);
+the blocking calls and every collective are ``Rank``'s own, so barrier,
+bcast, allreduce, alltoall and reduce_scatter run **unmodified** over a
+1024-host fabric against the ``core.execute``/``space.alloc`` stand-ins
+below.
 
 Memory scaling (ROADMAP item 1's "no per-host object blowup"):
 
@@ -47,6 +48,7 @@ from repro.core.errors import RankDead
 from repro.fabric.cost import DEFAULT_CELL
 from repro.fabric.network import FabricNetwork, _Message
 from repro.fabric.spec import TopologySpec
+from repro.mpi.comm import Rank
 from repro.obs.registry import MetricsRegistry
 from repro.params import Platform
 from repro.simkernel import Simulator
@@ -135,26 +137,18 @@ class _FabricReq:
         self.msg: Optional[_Message] = None
 
 
-class FabricRank:
-    """One rank of a fabric world (duck-typed ``repro.mpi.comm.Rank``)."""
+class FabricRank(Rank):
+    """One rank of a fabric world: a :class:`~repro.mpi.comm.Rank` whose
+    ``isend``/``irecv``/``wait`` go through the :class:`FabricNetwork`."""
 
-    __slots__ = ("world", "rank", "host", "core", "space",
-                 "_coll_seq", "_scratch", "_imb_bufs")
+    __slots__ = ("world", "host")
 
     def __init__(self, world: "FabricWorld", rank: int, host: str):
-        self.world = world
+        self.comm = self.world = world
         self.rank = rank
         self.host = host
         self.core = world.core
         self.space = world.space
-
-    @property
-    def size(self) -> int:
-        return self.world.size
-
-    @property
-    def sim(self) -> Simulator:
-        return self.world.sim
 
     # -- point-to-point ----------------------------------------------------
 
@@ -199,7 +193,7 @@ class FabricRank:
         else:
             world._posted.setdefault(key, deque()).append(req)
         return req
-        yield  # pragma: no cover - makes this a generator like P2P.irecv
+        yield  # pragma: no cover - makes this a generator like Rank.irecv
 
     def wait(self, req: _FabricReq) -> Generator:
         if not req.done:
@@ -209,64 +203,6 @@ class FabricRank:
         if req.error is not None:
             raise req.error
         return req
-
-    def send(self, dest: int, region, offset: int = 0, length=None,
-             tag: int = 0) -> Generator:
-        req = yield from self.isend(dest, region, offset, length, tag)
-        yield from self.wait(req)
-        return req
-
-    def recv(self, source: int, region, offset: int = 0, length=None,
-             tag: int = 0) -> Generator:
-        req = yield from self.irecv(source, region, offset, length, tag)
-        yield from self.wait(req)
-        return req
-
-    def sendrecv(self, dest: int, sregion, source: int, rregion,
-                 length=None, stag: int = 0, rtag: int = 0) -> Generator:
-        rreq = yield from self.irecv(source, rregion, 0, length, rtag)
-        sreq = yield from self.isend(dest, sregion, 0, length, stag)
-        yield from self.wait(sreq)
-        yield from self.wait(rreq)
-        return sreq, rreq
-
-    # -- collectives (the unmodified generators) ---------------------------
-
-    def barrier(self):
-        from repro.mpi import collectives
-
-        return collectives.barrier(self)
-
-    def bcast(self, region, root: int = 0, length=None):
-        from repro.mpi import collectives
-
-        return collectives.bcast(self, region, root, length)
-
-    def reduce(self, sendbuf, recvbuf, root: int = 0, length=None):
-        from repro.mpi import collectives
-
-        return collectives.reduce(self, sendbuf, recvbuf, root, length)
-
-    def allreduce(self, sendbuf, recvbuf, length=None, algo: str = "auto"):
-        from repro.mpi import collectives
-
-        return collectives.allreduce(self, sendbuf, recvbuf, length,
-                                     algo=algo)
-
-    def reduce_scatter(self, sendbuf, recvbuf, block_length):
-        from repro.mpi import collectives
-
-        return collectives.reduce_scatter(self, sendbuf, recvbuf, block_length)
-
-    def allgather(self, sendbuf, recvbuf, block_length):
-        from repro.mpi import collectives
-
-        return collectives.allgather(self, sendbuf, recvbuf, block_length)
-
-    def alltoall(self, sendbuf, recvbuf, block_length):
-        from repro.mpi import collectives
-
-        return collectives.alltoall(self, sendbuf, recvbuf, block_length)
 
 
 class FabricWorld:

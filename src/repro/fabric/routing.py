@@ -110,9 +110,6 @@ class RouteTables:
 
     # -- health demotion ---------------------------------------------------
 
-    def is_demoted(self, a: str, b: str) -> bool:
-        return self._key(a, b) in self._demoted
-
     def demote_link(self, a: str, b: str) -> bool:
         """Drop a trunk from the ECMP candidate set; returns True if it
         was not already demoted.  The link stays *live* — a demotion is a

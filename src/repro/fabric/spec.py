@@ -24,7 +24,7 @@ oversubscribed — rather than by scaling trunk rates.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro import units
@@ -35,6 +35,21 @@ DEFAULT_BW = units.TEN_GBE_BYTES_PER_SECOND
 
 #: default one-way propagation latency per cable hop
 DEFAULT_LATENCY = ns(300)
+
+
+def _hop_counts(adj: dict[str, list[str]], start: str) -> dict[str, int]:
+    """BFS hop count from ``start`` to every node it reaches."""
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for peer in adj[node]:
+                if peer not in dist:
+                    dist[peer] = dist[node] + 1
+                    nxt.append(peer)
+        frontier = nxt
+    return dist
 
 
 @dataclass(frozen=True)
@@ -78,11 +93,6 @@ class TopologySpec:
 
     def switch_names(self) -> list[str]:
         return [s.name for s in self.switches]
-
-    def host_links(self) -> list[LinkSpec]:
-        """Links with at least one host endpoint."""
-        hosts = set(self.hosts)
-        return [l for l in self.links if l.a in hosts or l.b in hosts]
 
     def trunk_links(self) -> list[LinkSpec]:
         """Switch-to-switch links."""
@@ -158,18 +168,7 @@ class TopologySpec:
         adj = self.neighbors()
         if not adj:
             return False
-        start = self.hosts[0]
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for peer in adj[node]:
-                    if peer not in seen:
-                        seen.add(peer)
-                        nxt.append(peer)
-            frontier = nxt
-        return len(seen) == len(adj)
+        return len(_hop_counts(adj, self.hosts[0])) == len(adj)
 
     # -- summary numbers (CLI / reports) ---------------------------------
 
@@ -195,23 +194,14 @@ class TopologySpec:
     def diameter_hops(self) -> int:
         """Longest shortest host-to-host path, in link hops (BFS)."""
         adj = self.neighbors()
+        hosts = set(self.hosts)
         worst = 0
         # BFS from every *switch* and read off host eccentricity through
         # its edge — hosts are leaves, so host-to-host = 1 + sw-path + 1.
         probes = self.switch_names() or [self.hosts[0]]
         for start in probes:
-            dist = {start: 0}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for node in frontier:
-                    for peer in adj[node]:
-                        if peer not in dist:
-                            dist[peer] = dist[node] + 1
-                            nxt.append(peer)
-                frontier = nxt
-            worst = max(worst, max(d for n, d in dist.items()
-                                   if n in set(self.hosts)))
+            dist = _hop_counts(adj, start)
+            worst = max(worst, max(d for n, d in dist.items() if n in hosts))
         if not self.switch_names():
             return worst
         return worst + 1  # + the source host's own access link

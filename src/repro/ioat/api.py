@@ -21,7 +21,6 @@ from repro.ioat.descriptor import CopyDescriptor
 from repro.ioat.engine import IoatEngine
 from repro.memory.buffers import MemoryRegion
 from repro.memory.layout import count_page_aligned_chunks, page_aligned_chunks
-from repro.units import SEC
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.cpu import Core
@@ -51,6 +50,37 @@ class DmaCookie:
         return self.channel.copy_failed(self.last_cookie, self.n_descriptors)
 
 
+def descriptor_pieces(src_addr: int, dst_addr: int, length: int):
+    """``(n_descriptors, pieces)`` of one copy, each piece a page-contained
+    ``(src_off, dst_off, length)`` chunk relative to the copy's start.
+
+    The single-chunk case (the common one — pull fragments are page-sized
+    and the skbuff source is page aligned) needs no chunk generator.
+    """
+    n = count_page_aligned_chunks(src_addr, dst_addr, length)
+    if n == 1:
+        return 1, ((0, 0, length),)
+    return n, page_aligned_chunks(src_addr, dst_addr, length)
+
+
+def wait_ring_slot(core: "Core", ch: DmaChannel, category: str) -> Generator:
+    """Wait until ``ch``'s descriptor ring has a free slot.
+
+    Callers test ``ch.ring.free_slots == 0`` first, so the common case
+    costs no generator frame.  A full ring (multi-megabyte synchronous
+    copies) first reaps the completed prefix; if nothing has retired yet
+    the core spins until the hardware signals — the wait is charged as
+    busy CPU, there is no completion interrupt (§VI).
+    """
+    while ch.ring.free_slots == 0:
+        ch.reap()
+        if ch.ring.free_slots:
+            break
+        start = core.sim.now
+        yield ch.wait_completion().wait()
+        core.account(category, core.sim.now - start, phase="dma_wait")
+
+
 class IoatDmaApi:
     """Submission/polling facade over the engine."""
 
@@ -62,13 +92,6 @@ class IoatDmaApi:
         self.descriptors_submitted = 0
 
     # -- submission ---------------------------------------------------------------
-
-    def descriptor_count(self, src: MemoryRegion, src_off: int,
-                         dst: MemoryRegion, dst_off: int, length: int) -> int:
-        """How many descriptors this copy needs (page-contained chunks)."""
-        return count_page_aligned_chunks(
-            src.addr + src_off, dst.addr + dst_off, length
-        )
 
     def submit_cost(self, n_descriptors: int) -> int:
         """CPU ticks to submit ``n_descriptors``."""
@@ -94,32 +117,13 @@ class IoatDmaApi:
         if length <= 0:
             raise ValueError("cannot submit empty copy")
         ch = channel if channel is not None else self.engine.allocate_channel()
-        n_chunks = count_page_aligned_chunks(
-            src.addr + src_off, dst.addr + dst_off, length
-        )
-        if n_chunks == 1:
-            # Fast path: page-contained copy (the common case — pull
-            # fragments are page-sized and the skbuff source is page
-            # aligned), no chunk generator needed.
-            pieces = ((0, 0, length),)
-        else:
-            pieces = page_aligned_chunks(
-                src.addr + src_off, dst.addr + dst_off, length
-            )
+        n_chunks, pieces = descriptor_pieces(src.addr + src_off,
+                                             dst.addr + dst_off, length)
+        sc = self.params.submit_cost
         last = -1
         for rel_src, rel_dst, n in pieces:
-            while ch.ring.free_slots == 0:
-                # Descriptor ring full (multi-megabyte synchronous copies):
-                # reap the completed prefix; if nothing has retired yet,
-                # spin until the hardware signals — the wait is charged as
-                # busy CPU, there is no completion interrupt (§VI).
-                ch.reap()
-                if ch.ring.free_slots:
-                    break
-                start = core.sim.now
-                yield ch.wait_completion().wait()
-                core.account(category, core.sim.now - start, phase="dma_wait")
-            sc = self.params.submit_cost
+            if ch.ring.free_slots == 0:
+                yield from wait_ring_slot(core, ch, category)
             if sc:
                 yield sc
             core.account(category, sc, "dma_submit")
@@ -153,18 +157,13 @@ class IoatDmaApi:
         chunks = list(
             page_aligned_chunks(src.addr + src_off, dst.addr + dst_off, length)
         )
+        sc = self.params.submit_cost
         last: dict[int, int] = {}
         counts: dict[int, int] = {}
         for i, (rel_src, rel_dst, n) in enumerate(chunks):
             ch = chans[i % len(chans)]
-            while ch.ring.free_slots == 0:
-                ch.reap()
-                if ch.ring.free_slots:
-                    break
-                start = core.sim.now
-                yield ch.wait_completion().wait()
-                core.account(category, core.sim.now - start, phase="dma_wait")
-            sc = self.params.submit_cost
+            if ch.ring.free_slots == 0:
+                yield from wait_ring_slot(core, ch, category)
             if sc:
                 yield sc
             core.account(category, sc, "dma_submit")

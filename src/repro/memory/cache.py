@@ -38,10 +38,6 @@ class L2Cache:
     def __len__(self) -> int:
         return len(self._resident)
 
-    @property
-    def resident_bytes(self) -> int:
-        return len(self._resident) * PAGE_SIZE
-
     # -- queries -------------------------------------------------------------
 
     def residency(self, addr: int, length: int) -> float:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
-from repro.mpi.p2p import P2P
+from repro.mpi import collectives
+from repro.mpi.p2p import encode_match, encode_recv
 from repro.mx.wire import EndpointAddr
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -21,7 +22,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Rank:
-    """One MPI process."""
+    """One MPI process.
+
+    Point-to-point operations are generators that map MPI matching onto
+    the endpoint's MX match info (:mod:`repro.mpi.p2p`); the collectives
+    are the :mod:`repro.mpi.collectives` generators bound to this rank.
+    """
+
+    __slots__ = ("comm", "rank", "endpoint", "core", "space", "node",
+                 "_coll_seq", "_scratch", "_imb_bufs")
+
+    #: context id of MPI_COMM_WORLD
+    CONTEXT = 1
 
     def __init__(self, comm: "Communicator", rank: int, endpoint, core: "Core",
                  space: "AddressSpace", node: int):
@@ -31,69 +43,76 @@ class Rank:
         self.core = core
         self.space = space
         self.node = node
-        self._p2p = P2P(self)
 
-    # -- point-to-point (delegated) ------------------------------------------
+    # -- point-to-point: non-blocking ------------------------------------------
 
-    def isend(self, dest: int, region, offset=0, length=None, tag: int = 0):
-        return self._p2p.isend(dest, region, offset, length, tag)
+    def isend(self, dest: int, region, offset=0, length: Optional[int] = None,
+              tag: int = 0) -> Generator:
+        match = encode_match(self.CONTEXT, self.rank, tag)
+        req = yield from self.endpoint.isend(
+            self.core, self.comm.addr_of(dest), match, region, offset,
+            len(region) - offset if length is None else length,
+        )
+        return req
 
-    def irecv(self, source: int, region, offset=0, length=None, tag: int = 0):
-        return self._p2p.irecv(source, region, offset, length, tag)
+    def irecv(self, source: int, region, offset=0, length: Optional[int] = None,
+              tag: int = 0) -> Generator:
+        match, mask = encode_recv(self.CONTEXT, source, tag)
+        req = yield from self.endpoint.irecv(
+            self.core, match, mask, region, offset,
+            len(region) - offset if length is None else length,
+        )
+        return req
 
-    def send(self, dest: int, region, offset=0, length=None, tag: int = 0):
-        return self._p2p.send(dest, region, offset, length, tag)
+    def wait(self, req) -> Generator:
+        yield from self.endpoint.wait(self.core, req)
+        return req
 
-    def recv(self, source: int, region, offset=0, length=None, tag: int = 0):
-        return self._p2p.recv(source, region, offset, length, tag)
+    # -- point-to-point: blocking (built on the three above) -------------------
 
-    def wait(self, req):
-        return self._p2p.wait(req)
+    def send(self, dest: int, region, offset=0, length=None, tag: int = 0) -> Generator:
+        req = yield from self.isend(dest, region, offset, length, tag)
+        yield from self.wait(req)
+        return req
+
+    def recv(self, source: int, region, offset=0, length=None, tag: int = 0) -> Generator:
+        req = yield from self.irecv(source, region, offset, length, tag)
+        yield from self.wait(req)
+        return req
 
     def sendrecv(self, dest: int, sregion, source: int, rregion,
-                 length=None, stag: int = 0, rtag: int = 0):
-        return self._p2p.sendrecv(dest, sregion, source, rregion, length, stag, rtag)
+                 length=None, stag: int = 0, rtag: int = 0) -> Generator:
+        """Simultaneous send+recv (deadlock-free: both posted, then waited)."""
+        rreq = yield from self.irecv(source, rregion, 0, length, rtag)
+        sreq = yield from self.isend(dest, sregion, 0, length, stag)
+        yield from self.wait(sreq)
+        yield from self.wait(rreq)
+        return sreq, rreq
 
     # -- collectives (generator methods; see repro.mpi.collectives) -----------
 
     def barrier(self):
-        from repro.mpi import collectives
-
         return collectives.barrier(self)
 
     def bcast(self, region, root: int = 0, length=None):
-        from repro.mpi import collectives
-
         return collectives.bcast(self, region, root, length)
 
     def reduce(self, sendbuf, recvbuf, root: int = 0, length=None):
-        from repro.mpi import collectives
-
         return collectives.reduce(self, sendbuf, recvbuf, root, length)
 
     def allreduce(self, sendbuf, recvbuf, length=None, algo: str = "auto"):
-        from repro.mpi import collectives
-
         return collectives.allreduce(self, sendbuf, recvbuf, length, algo=algo)
 
     def reduce_scatter(self, sendbuf, recvbuf, block_length):
-        from repro.mpi import collectives
-
         return collectives.reduce_scatter(self, sendbuf, recvbuf, block_length)
 
     def allgather(self, sendbuf, recvbuf, block_length):
-        from repro.mpi import collectives
-
         return collectives.allgather(self, sendbuf, recvbuf, block_length)
 
     def allgatherv(self, sendbuf, recvbuf, block_lengths):
-        from repro.mpi import collectives
-
         return collectives.allgatherv(self, sendbuf, recvbuf, block_lengths)
 
     def alltoall(self, sendbuf, recvbuf, block_length):
-        from repro.mpi import collectives
-
         return collectives.alltoall(self, sendbuf, recvbuf, block_length)
 
     @property

@@ -1,4 +1,4 @@
-"""MPI point-to-point semantics over MX matching.
+"""MPI point-to-point matching encoded into MX match info.
 
 MPI matching (communicator, source rank, tag — with MPI_ANY_SOURCE /
 MPI_ANY_TAG wildcards) is encoded into the MX 64-bit match info exactly the
@@ -12,11 +12,6 @@ A wildcard clears the corresponding bits in the receive *mask*.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING, Generator, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.mpi.comm import Rank
 
 #: wildcards (match any source / any tag)
 ANY_SOURCE = -1
@@ -45,59 +40,3 @@ def encode_recv(context: int, source: int, tag: int) -> tuple[int, int]:
         mask &= ~_TAG_MASK
     return encode_match(context, src, t), mask
 
-
-class P2P:
-    """Point-to-point operations of one rank."""
-
-    #: context id of MPI_COMM_WORLD
-    CONTEXT = 1
-
-    def __init__(self, rank: "Rank"):
-        self.rank = rank
-
-    # -- non-blocking -----------------------------------------------------------
-
-    def isend(self, dest: int, region, offset=0, length: Optional[int] = None,
-              tag: int = 0) -> Generator:
-        r = self.rank
-        match = encode_match(self.CONTEXT, r.rank, tag)
-        req = yield from r.endpoint.isend(
-            r.core, r.comm.addr_of(dest), match, region, offset,
-            len(region) - offset if length is None else length,
-        )
-        return req
-
-    def irecv(self, source: int, region, offset=0, length: Optional[int] = None,
-              tag: int = 0) -> Generator:
-        r = self.rank
-        match, mask = encode_recv(self.CONTEXT, source, tag)
-        req = yield from r.endpoint.irecv(
-            r.core, match, mask, region, offset,
-            len(region) - offset if length is None else length,
-        )
-        return req
-
-    def wait(self, req) -> Generator:
-        yield from self.rank.endpoint.wait(self.rank.core, req)
-        return req
-
-    # -- blocking ---------------------------------------------------------------
-
-    def send(self, dest: int, region, offset=0, length=None, tag: int = 0) -> Generator:
-        req = yield from self.isend(dest, region, offset, length, tag)
-        yield from self.wait(req)
-        return req
-
-    def recv(self, source: int, region, offset=0, length=None, tag: int = 0) -> Generator:
-        req = yield from self.irecv(source, region, offset, length, tag)
-        yield from self.wait(req)
-        return req
-
-    def sendrecv(self, dest: int, sregion, source: int, rregion,
-                 length=None, stag: int = 0, rtag: int = 0) -> Generator:
-        """Simultaneous send+recv (deadlock-free: both posted, then waited)."""
-        rreq = yield from self.irecv(source, rregion, 0, length, rtag)
-        sreq = yield from self.isend(dest, sregion, 0, length, stag)
-        yield from self.wait(sreq)
-        yield from self.wait(rreq)
-        return sreq, rreq

@@ -26,18 +26,13 @@ import numpy as np
 
 from repro.ethernet.frame import ETHERTYPE_MX, EthernetFrame
 from repro.memory.buffers import MemoryRegion
-from repro.mx.wire import EndpointAddr, MxPacket, PktType
+from repro.mx.wire import EndpointAddr, MxPacket, PktType, match_accepts
 from repro.simkernel.resources import Store
 from repro.simkernel.sync import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
     from repro.simkernel.cpu import Core
-
-
-def match_accepts(recv_match: int, recv_mask: int, send_match: int) -> bool:
-    """MX matching rule: masked bits of the match info must agree."""
-    return (send_match & recv_mask) == (recv_match & recv_mask)
 
 
 @dataclass

@@ -66,6 +66,11 @@ HEADER_SIZE: dict[PktType, int] = {
 }
 
 
+def match_accepts(recv_match: int, recv_mask: int, send_match: int) -> bool:
+    """MX matching rule: masked bits of the match info must agree."""
+    return (send_match & recv_mask) == (recv_match & recv_mask)
+
+
 class EndpointAddr(NamedTuple):
     """A communication endpoint: (board/host id, endpoint index)."""
 

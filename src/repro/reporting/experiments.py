@@ -41,40 +41,9 @@ def _executor(executor: Optional[SweepExecutor]) -> SweepExecutor:
     return executor if executor is not None else SweepExecutor()
 
 
-def _pingpong_mib_s(stack: str, size: int, iters: int, **omx) -> float:
-    """One ping-pong point, run directly (kept for tests/benchmarks)."""
-    from repro.reporting import sweeps
-
-    return sweeps.point_pingpong(stack, size, iters, omx)
-
-
-def _memcpy_chunked_mib_s(size: int, chunk: int) -> float:
-    from repro.reporting import sweeps
-
-    return sweeps.point_memcpy_chunked(size, chunk)
-
-
-def _ioat_chunked_mib_s(size: int, chunk: int) -> float:
-    from repro.reporting import sweeps
-
-    return sweeps.point_ioat_chunked(size, chunk)
-
-
-# ---------------------------------------------------------------------------
-# Figure 3 — expected improvement when removing the BH receive copy
-# ---------------------------------------------------------------------------
-
-def fig3(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figure:
-    """MX vs Open-MX vs Open-MX with the BH copy ignored (prediction)."""
-    sizes = QUICK_SIZES if quick else SWEEP_SIZES
-    iters = 3 if quick else 5
-    fig = Figure("FIG3", "Expected Open-MX improvement without the BH receive copy",
-                 "message size", "throughput (MiB/s)")
-    configs = [
-        ("MX", "mx", {}),
-        ("Open-MX ignoring BH receive copy", "omx", dict(ignore_bh_copy=True)),
-        ("Open-MX", "omx", {}),
-    ]
+def _pingpong_figure(fig: Figure, configs: list, sizes: list[int], iters: int,
+                     executor: Optional[SweepExecutor]) -> Figure:
+    """One ping-pong series per ``(label, stack, omx)`` config over ``sizes``."""
     points = [
         point("pingpong", stack=stack, size=size, iters=iters, omx=cfg)
         for _label, stack, cfg in configs
@@ -86,6 +55,23 @@ def fig3(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figur
         for size in sizes:
             s.add(size, next(values))
     return fig
+
+
+# ---------------------------------------------------------------------------
+# Figure 3 — expected improvement when removing the BH receive copy
+# ---------------------------------------------------------------------------
+
+def fig3(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figure:
+    """MX vs Open-MX vs Open-MX with the BH copy ignored (prediction)."""
+    fig = Figure("FIG3", "Expected Open-MX improvement without the BH receive copy",
+                 "message size", "throughput (MiB/s)")
+    configs = [
+        ("MX", "mx", {}),
+        ("Open-MX ignoring BH receive copy", "omx", dict(ignore_bh_copy=True)),
+        ("Open-MX", "omx", {}),
+    ]
+    return _pingpong_figure(fig, configs, QUICK_SIZES if quick else SWEEP_SIZES,
+                            3 if quick else 5, executor)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +141,6 @@ def micro(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Tabl
 # ---------------------------------------------------------------------------
 
 def fig8(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figure:
-    sizes = QUICK_SIZES if quick else SWEEP_SIZES
-    iters = 3 if quick else 5
     fig = Figure("FIG8", "Ping-pong with I/OAT asynchronous copy offload",
                  "message size", "throughput (MiB/s)")
     configs = [
@@ -165,17 +149,8 @@ def fig8(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figur
         ("Open-MX with DMA copy in BH receive", "omx", dict(ioat_enabled=True)),
         ("Open-MX", "omx", {}),
     ]
-    points = [
-        point("pingpong", stack=stack, size=size, iters=iters, omx=cfg)
-        for _label, stack, cfg in configs
-        for size in sizes
-    ]
-    values = iter(_executor(executor).run(points))
-    for label, _stack, _cfg in configs:
-        s = fig.new_series(label)
-        for size in sizes:
-            s.add(size, next(values))
-    return fig
+    return _pingpong_figure(fig, configs, QUICK_SIZES if quick else SWEEP_SIZES,
+                            3 if quick else 5, executor)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +228,6 @@ def fig10(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figu
 
 def fig11(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figure:
     sizes = (QUICK_SIZES + [16 * MiB]) if quick else (SWEEP_SIZES + [16 * MiB])
-    iters = 3 if quick else 5
     fig = Figure("FIG11", "IMB PingPong: I/OAT and registration cache",
                  "message size", "throughput (MiB/s)")
     configs = [
@@ -264,17 +238,7 @@ def fig11(quick: bool = False, executor: Optional[SweepExecutor] = None) -> Figu
          dict(ioat_enabled=True, regcache_enabled=False)),
         ("Open-MX w/o regcache", "omx", dict(regcache_enabled=False)),
     ]
-    points = [
-        point("pingpong", stack=stack, size=size, iters=iters, omx=cfg)
-        for _label, stack, cfg in configs
-        for size in sizes
-    ]
-    values = iter(_executor(executor).run(points))
-    for label, _stack, _cfg in configs:
-        s = fig.new_series(label)
-        for size in sizes:
-            s.add(size, next(values))
-    return fig
+    return _pingpong_figure(fig, configs, sizes, 3 if quick else 5, executor)
 
 
 # ---------------------------------------------------------------------------

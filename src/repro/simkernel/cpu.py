@@ -109,15 +109,6 @@ class Core:
         if self.profiler is not None:
             self.profiler.on_reset(self)
 
-    def busy_fraction(self, category: Optional[str] = None) -> float:
-        """Busy fraction of this core over the current window."""
-        elapsed = self.sim.now - self.counters.window_start
-        if elapsed <= 0:
-            return 0.0
-        if category is None:
-            return self.counters.total() / elapsed
-        return self.counters.by_category.get(category, 0) / elapsed
-
 
 class CpuSet:
     """All cores of a host, with topology helpers and aggregate accounting."""

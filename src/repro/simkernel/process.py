@@ -69,11 +69,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    @property
-    def waiting_on(self) -> Optional[Event]:
-        """The event the process is currently blocked on, if any."""
-        return self._target
-
     # -- driving -----------------------------------------------------------
 
     def _resume(self, ev: Event) -> None:

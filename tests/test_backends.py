@@ -21,7 +21,7 @@ from repro.core.backends import (
     backend_names,
     create_backend,
 )
-from repro.core.offload import OffloadManager
+from repro.core.offload import OffloadManager, PendingCopy
 from repro.health import BreakerState
 from repro.params import clovertown_5000x
 from repro.simkernel import Simulator
@@ -161,6 +161,40 @@ class TestSubmitPollOrdering:
         assert not state.pending
         assert mgr.frags_memcpy == 3
         assert state.copied_bytes == 12 * KiB
+
+
+class TestManagerFilesPending:
+    """Backends only submit; the offload manager files the pending entry."""
+
+    @pytest.mark.parametrize("name", OFFLOADING)
+    def test_submit_fragment_returns_ticket_and_files_nothing(self, name):
+        sim, host, mgr = make_env(name)
+        state = mgr.new_message_state()
+        dst = host.user_space("conf").alloc(8 * KiB)
+        skb = host.skb_pool.alloc_rx()
+        skb.data_len = 4 * KiB
+        ticket = run_bh(sim, host, lambda core: mgr.backend.submit_fragment(
+            core, state, skb, 0, dst, 0, 4 * KiB))
+        assert not state.pending
+        assert state.offloaded_bytes == 0
+        assert ticket.channel in backend_channels(mgr, state)
+        sim.run()
+        assert ticket.done and not ticket.failed
+        skb.free()
+
+    @pytest.mark.parametrize("name", OFFLOADING)
+    def test_copy_fragment_files_one_pending_copy_per_fragment(self, name):
+        sim, host, mgr = make_env(name)
+        state = mgr.new_message_state()
+        sizes = [4 * KiB, 2 * KiB, 4 * KiB + 512]
+        skbs, dst = submit_fragments(sim, host, mgr, state, sizes)
+        assert mgr.frags_offloaded == len(sizes)
+        assert all(isinstance(e, PendingCopy) for e in state.pending)
+        assert [(e.skb, e.dst, e.dst_off, e.length) for e in state.pending] \
+            == [(skb, dst, off, n) for skb, off, n
+                in zip(skbs, [0, 4 * KiB, 6 * KiB], sizes)]
+        assert state.offloaded_bytes == sum(sizes)
+        run_bh(sim, host, lambda core: mgr.wait_all(core, state))
 
 
 class TestFailHealRecover:

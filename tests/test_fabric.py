@@ -160,6 +160,16 @@ class TestCollectiveDeterminism:
                                     collective=collective)
         assert out["events"] > 0 and out["time_ns"] > 0
 
+    def test_fabric_ranks_are_slotted_mpi_ranks(self):
+        """A FabricRank is a Rank, and 1024 of them carry no __dict__."""
+        from repro.mpi import Rank
+        world = launch_fabric_world(make_topology("fat_tree2", 16,
+                                                  hosts_per_edge=4))
+        for r in world.ranks:
+            assert isinstance(r, Rank)
+            assert not hasattr(r, "__dict__")
+            assert r.size == 16 and r.sim is world.sim
+
 
 # ---------------------------------------------------------------------------
 # fault cells: spine kill mid-allreduce

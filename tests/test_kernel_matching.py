@@ -132,3 +132,19 @@ class TestKernelMatching:
         tb.sim.run(until=tb.sim.now + 2_000_000)
         for host in tb.hosts:
             assert host.skb_pool.outstanding == host.platform.nic.rx_ring_size
+
+    def test_dead_channels_are_not_offloaded_to(self):
+        """Kernel-matched fragments pass the offload manager's channel and
+        breaker gates: with every receiver I/OAT channel failed, nothing is
+        submitted to them and nothing has to be healed."""
+        tb = build_testbed(kernel_matching=True, ioat_enabled=True)
+        for channel in tb.hosts[1].ioat_engine.channels:
+            channel.fail("dead before the transfer")  # noqa: HLT001
+        sbuf, rbuf = transfer(tb, 32 * KiB)
+        tb.sim.run()
+        assert bytes(rbuf.read()) == bytes(sbuf.read())
+        snap = tb.hosts[1].metrics.snapshot()
+        assert snap["kmatch_frags_offloaded"] == 0
+        # the breaker's one recovery probe copy is the only DMA submitted
+        assert snap["ioat_descriptors_failed"] == 1
+        assert snap["offload_fallback_copies"] == 0

@@ -8,15 +8,20 @@ The determinism guarantees this PR rests on are proven here:
 * serial vs ``REPRO_JOBS=4`` sweeps yield bit-identical results (points
   are independent simulations);
 * a cache hit replays the stored result **without running any
-  simulation** (asserted via the process-wide event counter).
+  simulation** (asserted via the process-wide event counter);
+* seven quick figure pipelines keep their pinned event counts and
+  rendered output, so a refactor that claims to be schedule-identical
+  is checked on every run.
 """
+
+import hashlib
 
 import pytest
 
 from repro import build_testbed
 from repro.core.counters import collect_counters
 from repro.memory import phantom
-from repro.reporting.experiments import fig7
+from repro.reporting.experiments import EXPERIMENTS, fig7
 from repro.reporting.sweeps import SweepExecutor, point, point_key
 from repro.simkernel import Simulator
 from repro.simkernel.errors import SimulationError
@@ -180,3 +185,32 @@ class TestSweepExecutor:
         # setup cost, so the pair must not come back swapped
         assert fine < coarse
         assert ex.run(pts) == [fine, coarse]  # cached replay, same order
+
+
+# ---------------------------------------------------------------------------
+# quick-mode event-count gate
+# ---------------------------------------------------------------------------
+
+#: quick-mode simulator events and rendered-output digest (sha256 prefix)
+#: per experiment, each run alone on a fresh cache-off serial executor.
+#: A change that moves one of these changed what the pipeline simulates.
+QUICK_GATE = {
+    "fig3": (270_572, "aba63afff2d298cf"),
+    "fig7": (23_858, "ac6815a0e8cfa4a2"),
+    "fig9": (203_041, "2cb766281ddd963a"),
+    "fig10": (210_603, "240a53661478f29d"),
+    "fig12": (140_932, "08cbd185398d2611"),
+    "nas": (17_774, "4a162320b9fbd06d"),
+    "engine_shootout": (227_798, "4c2b3085a2782a33"),
+}
+
+
+class TestQuickEventCountGate:
+    @pytest.mark.parametrize("name", sorted(QUICK_GATE))
+    def test_events_and_render_pinned(self, name):
+        executor = SweepExecutor(jobs=1, cache=False)
+        before = Simulator.events_total
+        result = EXPERIMENTS[name](quick=True, executor=executor)
+        events = Simulator.events_total - before
+        digest = hashlib.sha256(result.render().encode()).hexdigest()[:16]
+        assert (events, digest) == QUICK_GATE[name]
