@@ -6,8 +6,6 @@ message, relying on concurrent messages to fill the channels.  This bench
 quantifies both sides of that trade-off on the engine model.
 """
 
-import pytest
-
 from conftest import show
 from repro.cluster.testbed import build_single_node
 from repro.memory.buffers import AddressSpace
@@ -78,19 +76,14 @@ def _concurrent_messages(striped: bool, n_msgs: int = 4, size: int = 1 * MiB) ->
     return throughput_mib_s(n_msgs * size, tb.sim.now - t0)
 
 
-@pytest.mark.benchmark(group="ablation-channels")
-def test_channel_striping_tradeoff(once):
-    def run():
-        t = Table("ABLATION: DMA channel assignment policy",
+def test_channel_striping_tradeoff():
+    table = Table("ABLATION: DMA channel assignment policy",
                   ["scenario", "1 chan/msg (MiB/s)", "striped x4 (MiB/s)"])
-        t.add_row("single message, 4 MiB",
+    table.add_row("single message, 4 MiB",
                   _copy_once(striped=False), _copy_once(striped=True))
-        t.add_row("4 concurrent messages, 1 MiB each",
+    table.add_row("4 concurrent messages, 1 MiB each",
                   _concurrent_messages(striped=False),
                   _concurrent_messages(striped=True))
-        return t
-
-    table = once(run)
     show(table)
     single_plain = float(table.rows[0][1])
     single_striped = float(table.rows[0][2])

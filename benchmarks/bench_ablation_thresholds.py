@@ -21,21 +21,16 @@ from repro.units import KiB, MiB
 from repro.workloads import measure_vectored_copy
 
 
-@pytest.mark.benchmark(group="ablation-thresholds")
-def test_fragment_threshold_crossover(once):
-    def run():
-        tb = build_single_node()
-        t = Table("ABLATION: copy engine vs segment size (256 kB total)",
+def test_fragment_threshold_crossover():
+    tb = build_single_node()
+    table = Table("ABLATION: copy engine vs segment size (256 kB total)",
                   ["segment", "memcpy GiB/s", "I/OAT GiB/s", "winner"])
-        results = {}
-        for segment in (128, 256, 512, 1 * KiB, 2 * KiB, 4 * KiB):
-            r = measure_vectored_copy(tb.hosts[0], 256 * KiB, segment)
-            results[segment] = r
-            t.add_row(f"{segment}B", f"{r.memcpy_gib_s:.2f}", f"{r.ioat_gib_s:.2f}",
+    results = {}
+    for segment in (128, 256, 512, 1 * KiB, 2 * KiB, 4 * KiB):
+        r = measure_vectored_copy(tb.hosts[0], 256 * KiB, segment)
+        results[segment] = r
+        table.add_row(f"{segment}B", f"{r.memcpy_gib_s:.2f}", f"{r.ioat_gib_s:.2f}",
                       "I/OAT" if r.ioat_gib_s > r.memcpy_gib_s else "memcpy")
-        return t, results
-
-    table, results = once(run)
     show(table)
     # Sub-kilobyte segments favour memcpy; page segments favour the engine:
     # exactly the paper's "fragments at least about one kilobyte" rule.
@@ -52,20 +47,15 @@ def _pingpong(size, **omx):
     return run_imb(tb, comm, "PingPong", size, iterations=4, warmup=2).mib_s
 
 
-@pytest.mark.benchmark(group="ablation-thresholds")
-def test_message_threshold_not_harmful(once):
-    def run():
-        t = Table("ABLATION: ioat_min_msg threshold (PingPong MiB/s)",
+def test_message_threshold_not_harmful():
+    table = Table("ABLATION: ioat_min_msg threshold (PingPong MiB/s)",
                   ["size", "thresholded (64kB)", "offload-everything"])
-        vals = {}
-        for size in (48 * KiB, 256 * KiB):
-            a = _pingpong(size, ioat_enabled=True)
-            b = _pingpong(size, ioat_enabled=True, ioat_min_msg=0)
-            vals[size] = (a, b)
-            t.add_row(f"{size >> 10}KiB", a, b)
-        return t, vals
-
-    table, vals = once(run)
+    vals = {}
+    for size in (48 * KiB, 256 * KiB):
+        a = _pingpong(size, ioat_enabled=True)
+        b = _pingpong(size, ioat_enabled=True, ioat_min_msg=0)
+        vals[size] = (a, b)
+        table.add_row(f"{size >> 10}KiB", a, b)
     show(table)
     # Large messages: both configs offload, same result.
     assert vals[256 * KiB][1] == pytest.approx(vals[256 * KiB][0], rel=0.05)
@@ -77,19 +67,14 @@ def test_message_threshold_not_harmful(once):
     assert vals[48 * KiB][1] < 1.25 * vals[48 * KiB][0]
 
 
-@pytest.mark.benchmark(group="ablation-thresholds")
-def test_medium_sync_offload_degrades(once):
+def test_medium_sync_offload_degrades():
     """§IV-C: synchronous I/OAT for 4 kB medium fragments is a loss."""
 
-    def run():
-        base = _pingpong(16 * KiB, ioat_enabled=True)
-        sync = _pingpong(16 * KiB, ioat_enabled=True, ioat_medium_sync=True)
-        t = Table("ABLATION: medium-fragment synchronous offload (16 kB PingPong)",
+    base = _pingpong(16 * KiB, ioat_enabled=True)
+    sync = _pingpong(16 * KiB, ioat_enabled=True, ioat_medium_sync=True)
+    table = Table("ABLATION: medium-fragment synchronous offload (16 kB PingPong)",
                   ["config", "MiB/s"])
-        t.add_row("memcpy mediums (default)", base)
-        t.add_row("I/OAT sync mediums", sync)
-        return t, base, sync
-
-    table, base, sync = once(run)
+    table.add_row("memcpy mediums (default)", base)
+    table.add_row("I/OAT sync mediums", sync)
     show(table)
     assert sync < base, "sync medium offload should degrade performance"

@@ -8,8 +8,6 @@ while the BH sheds the synchronous copies and the library sheds its second
 copy entirely.
 """
 
-import pytest
-
 from conftest import show
 from repro import build_testbed
 from repro.reporting.table import Table
@@ -22,22 +20,17 @@ def _stream(size, **omx):
     return run_stream_usage(tb, size, iterations=12, warmup=3)
 
 
-@pytest.mark.benchmark(group="extension-kmatch")
-def test_kernel_matching_medium_overlap(once):
-    def run():
-        t = Table("EXTENSION: in-kernel matching, 32 kB stream",
+def test_kernel_matching_medium_overlap():
+    table = Table("EXTENSION: in-kernel matching, 32 kB stream",
                   ["config", "MiB/s", "BH %", "user %"])
-        out = {}
-        for label, omx in [
-            ("classic", dict(ioat_enabled=True)),
-            ("kernel matching", dict(ioat_enabled=True, kernel_matching=True)),
-        ]:
-            u = _stream(32 * KiB, **omx)
-            out[label] = u
-            t.add_row(label, u.throughput_mib_s, u.bh_pct, u.user_pct)
-        return t, out
-
-    table, out = once(run)
+    out = {}
+    for label, omx in [
+        ("classic", dict(ioat_enabled=True)),
+        ("kernel matching", dict(ioat_enabled=True, kernel_matching=True)),
+    ]:
+        u = _stream(32 * KiB, **omx)
+        out[label] = u
+        table.add_row(label, u.throughput_mib_s, u.bh_pct, u.user_pct)
     show(table)
     classic, kernel = out["classic"], out["kernel matching"]
     # One event per message + overlapped medium copies:

@@ -7,8 +7,6 @@ exactly that for the shm one-copy path; this bench shows it keeps the
 throughput while releasing the CPU.
 """
 
-import pytest
-
 from conftest import show
 from repro.cluster.testbed import build_single_node
 from repro.reporting.table import Table
@@ -27,18 +25,13 @@ def _run(sleep_model: bool, size: int = 4 * MiB):
     return mib_s, usage.get("driver", 0.0)
 
 
-@pytest.mark.benchmark(group="extension-sleep")
-def test_sleep_model_frees_cpu(once):
-    def run():
-        busy_mib, busy_cpu = _run(sleep_model=False)
-        sleep_mib, sleep_cpu = _run(sleep_model=True)
-        t = Table("EXTENSION: busy-poll vs predictive sleep (4 MiB shm)",
+def test_sleep_model_frees_cpu():
+    busy_mib, busy_cpu = _run(sleep_model=False)
+    sleep_mib, sleep_cpu = _run(sleep_model=True)
+    table = Table("EXTENSION: busy-poll vs predictive sleep (4 MiB shm)",
                   ["wait model", "MiB/s", "driver CPU %"])
-        t.add_row("busy poll (paper)", busy_mib, busy_cpu)
-        t.add_row("predictive sleep (§VI)", sleep_mib, sleep_cpu)
-        return t, busy_mib, busy_cpu, sleep_mib, sleep_cpu
-
-    table, busy_mib, busy_cpu, sleep_mib, sleep_cpu = once(run)
+    table.add_row("busy poll (paper)", busy_mib, busy_cpu)
+    table.add_row("predictive sleep (§VI)", sleep_mib, sleep_cpu)
     show(table)
     # Same throughput class...
     assert sleep_mib > 0.9 * busy_mib

@@ -6,16 +6,13 @@ findings: the BH copy is what separates Open-MX (~800 MiB/s) from the line
 rate its sender side can already sustain.
 """
 
-import pytest
-
 from conftest import show
 from repro.reporting.experiments import fig3
 from repro.units import KiB, MiB, TEN_GBE_LINE_RATE_MIB_S
 
 
-@pytest.mark.benchmark(group="fig3")
-def test_fig3_expected_improvement(once):
-    fig = once(fig3, quick=True)
+def test_fig3_expected_improvement():
+    fig = fig3(quick=True)
     show(fig)
     mx = fig.get("MX")
     omx = fig.get("Open-MX")

@@ -5,16 +5,13 @@ memcpy, devastates I/OAT below ~1 kB, and page-sized chunks let the engine
 beat the CPU by ~60 %.
 """
 
-import pytest
-
 from conftest import show
 from repro.reporting.experiments import fig7
 from repro.units import KiB, MiB
 
 
-@pytest.mark.benchmark(group="fig7")
-def test_fig7_copy_chunk_curves(once):
-    fig = once(fig7, quick=False)
+def test_fig7_copy_chunk_curves():
+    fig = fig7(quick=False)
     show(fig)
     big = 1 * MiB
 

@@ -11,9 +11,8 @@ from repro.reporting.experiments import fig8
 from repro.units import KiB, MiB, TEN_GBE_LINE_RATE_MIB_S
 
 
-@pytest.mark.benchmark(group="fig8")
-def test_fig8_ioat_pingpong(once):
-    fig = once(fig8, quick=True)
+def test_fig8_ioat_pingpong():
+    fig = fig8(quick=True)
     show(fig)
     mx = fig.get("MX")
     omx = fig.get("Open-MX")

@@ -5,8 +5,6 @@ while offload drops multi-megabyte streams to ~60 %, removing the CPU as
 the bottleneck.
 """
 
-import pytest
-
 from conftest import show
 from repro.reporting.experiments import fig9
 
@@ -21,9 +19,8 @@ def _rows(table):
     return out
 
 
-@pytest.mark.benchmark(group="fig9")
-def test_fig9_cpu_usage(once):
-    table = once(fig9, quick=False)
+def test_fig9_cpu_usage():
+    table = fig9(quick=False)
     show(table)
     rows = _rows(table)
 

@@ -13,9 +13,8 @@ from repro.reporting.experiments import fig10
 from repro.units import KiB, MiB
 
 
-@pytest.mark.benchmark(group="fig10")
-def test_fig10_shm_pingpong(once):
-    fig = once(fig10, quick=False)
+def test_fig10_shm_pingpong():
+    fig = fig10(quick=False)
     show(fig)
     same = fig.get("Memcpy on the same dual-core subchip")
     cross = fig.get("Memcpy between different processor sockets")

@@ -5,16 +5,13 @@ than I/OAT copy offload for Open-MX (cheap registration, no NIC address
 tables), and that Open-MX + I/OAT reaches MX-class large-message rates.
 """
 
-import pytest
-
 from conftest import show
 from repro.reporting.experiments import fig11
 from repro.units import MiB
 
 
-@pytest.mark.benchmark(group="fig11")
-def test_fig11_imb_pingpong(once):
-    fig = once(fig11, quick=True)
+def test_fig11_imb_pingpong():
+    fig = fig11(quick=True)
     show(fig)
     mx = fig.get("MX")
     ioat = fig.get("Open-MX I/OAT")

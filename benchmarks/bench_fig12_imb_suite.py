@@ -7,8 +7,6 @@ the I/OAT shm path also kicks in); several tests even pass MXoE.
 
 import statistics
 
-import pytest
-
 from conftest import show
 from repro.reporting.experiments import fig12
 from repro.units import KiB, MiB
@@ -21,9 +19,8 @@ def _collect(table):
     return out
 
 
-@pytest.mark.benchmark(group="fig12")
-def test_fig12_imb_suite(once):
-    table = once(fig12, quick=False, sizes=[128 * KiB, 4 * MiB])
+def test_fig12_imb_suite():
+    table = fig12(quick=False, sizes=[128 * KiB, 4 * MiB])
     show(table)
     rows = _collect(table)
 

@@ -1,14 +1,11 @@
 """§IV-A scalars — submission cost and offload break-even sizes."""
 
-import pytest
-
 from conftest import show
 from repro.reporting.experiments import micro
 
 
-@pytest.mark.benchmark(group="micro")
-def test_micro_scalars(once):
-    table = once(micro)
+def test_micro_scalars():
+    table = micro()
     show(table)
     rows = {r[0]: r for r in table.rows}
     # paper: ~350 ns submission

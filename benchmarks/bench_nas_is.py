@@ -1,15 +1,12 @@
 """NAS IS kernel (§IV-D): "up to 10 % performance increase ... especially
 on IS which relies on large messages"."""
 
-import pytest
-
 from conftest import show
 from repro.reporting.experiments import nas
 
 
-@pytest.mark.benchmark(group="nas")
-def test_nas_is_improvement(once):
-    table = once(nas, quick=False)
+def test_nas_is_improvement():
+    table = nas(quick=False)
     show(table)
     times = {row[0]: float(row[1]) for row in table.rows}
     sortedness = {row[0]: row[3] for row in table.rows}

@@ -5,8 +5,6 @@ throughput with and without I/OAT copy offload, back-to-back and through
 a switch with two servers.
 """
 
-import pytest
-
 from conftest import show
 from repro import build_testbed
 from repro.ethernet.switch import build_switched_testbed
@@ -15,25 +13,20 @@ from repro.units import MiB
 from repro.workloads import run_pvfs_transfer
 
 
-@pytest.mark.benchmark(group="pvfs")
-def test_pvfs_file_transfer(once):
-    def run():
-        t = Table("PVFS-style striped file transfer (8 MiB file)",
+def test_pvfs_file_transfer():
+    table = Table("PVFS-style striped file transfer (8 MiB file)",
                   ["topology", "mode", "write MiB/s", "read MiB/s", "verified"])
-        out = {}
-        for topo, builder in [
-            ("client+1 server", lambda **kw: build_testbed(**kw)),
-            ("client+2 servers (switch)", lambda **kw: build_switched_testbed(3, **kw)),
-        ]:
-            for mode, omx in [("memcpy", {}), ("I/OAT", dict(ioat_enabled=True))]:
-                kw = dict(n_servers=1) if "1 server" in topo else {}
-                r = run_pvfs_transfer(builder(**omx), file_size=8 * MiB, **kw)
-                out[(topo, mode)] = r
-                t.add_row(topo, mode, r.write_mib_s, r.read_mib_s,
+    out = {}
+    for topo, builder in [
+        ("client+1 server", lambda **kw: build_testbed(**kw)),
+        ("client+2 servers (switch)", lambda **kw: build_switched_testbed(3, **kw)),
+    ]:
+        for mode, omx in [("memcpy", {}), ("I/OAT", dict(ioat_enabled=True))]:
+            kw = dict(n_servers=1) if "1 server" in topo else {}
+            r = run_pvfs_transfer(builder(**omx), file_size=8 * MiB, **kw)
+            out[(topo, mode)] = r
+            table.add_row(topo, mode, r.write_mib_s, r.read_mib_s,
                           "yes" if r.verified else "NO")
-        return t, out
-
-    table, out = once(run)
     show(table)
     assert all(r.verified for r in out.values())
     # I/OAT lifts both phases on the point-to-point topology...

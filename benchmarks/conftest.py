@@ -1,25 +1,11 @@
 """Shared helpers for the figure-regeneration benchmarks.
 
-Every benchmark wraps one experiment runner from
-:mod:`repro.reporting.experiments`.  The simulation itself measures
-*simulated* time; pytest-benchmark records the wall-clock cost of
-regenerating the figure (single round — the simulators are deterministic,
-so repetition adds no information).  Run with ``-s`` to see the reproduced
-figures/tables inline.
+Every benchmark calls one experiment runner from
+:mod:`repro.reporting.experiments` (or builds a small scenario of its own)
+and asserts the paper's findings on the result.  The simulations are
+deterministic and measure *simulated* time; host time is ``perfbench/``'s
+job.  Run with ``-s`` to see the reproduced figures/tables inline.
 """
-
-import pytest
-
-
-@pytest.fixture
-def once(benchmark):
-    """Run a figure generator exactly once under pytest-benchmark."""
-
-    def run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1, warmup_rounds=0)
-
-    return run
 
 
 def show(result) -> None:

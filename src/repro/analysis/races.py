@@ -49,10 +49,10 @@ from repro.simkernel.tiebreak import (
 )
 
 #: metrics that legitimately differ between observationally equivalent
-#: runs: wall-clock is real time, and the event count varies because the
-#: dispatcher elides hops whose callback list emptied — an order-dependent
-#: *optimization*, not an order-dependent *outcome*
-VOLATILE_METRICS = frozenset({"sim_wall_ms", "sim_events_processed"})
+#: runs: the event count varies because the dispatcher elides hops whose
+#: callback list emptied — an order-dependent *optimization*, not an
+#: order-dependent *outcome*
+VOLATILE_METRICS = frozenset({"sim_events_processed"})
 
 #: the standard ``--races`` corpus: the fault-campaign workloads plus the
 #: fabric collective cell.  Deliberately NOT ``campaign.WORKLOADS`` —

@@ -97,8 +97,6 @@ class Host:
         reg = self.metrics
         reg.counter("sim", "sim_events_processed",
                     lambda: self.sim.events_processed)
-        reg.counter("sim", "sim_wall_ms",
-                    lambda: int(self.sim.wall_seconds * 1000))
         self.nic.register_metrics(reg)
         self.softirq.register_metrics(reg)
         self.ioat_engine.register_metrics(reg)

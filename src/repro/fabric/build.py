@@ -8,8 +8,8 @@ for small specs, so the frame-accurate testbeds and the scalable fabric
 share one topology description.
 
 The historical factories are degenerate cases and **must stay
-bit-identical** (the simspeed gate diffs their per-figure event counts
-against the seed tree):
+bit-identical** (``TestQuickEventCountGate`` pins their per-experiment
+event counts):
 
 * a switchless two-host spec compiles exactly like the old
   :func:`repro.cluster.testbed.build_testbed` — same construction order,

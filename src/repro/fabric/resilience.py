@@ -31,8 +31,9 @@ Rank crash-stop declaration (the liveness half) lives in
 :class:`repro.fabric.mpi.FabricWorld`.
 
 Zero-overhead contract: *attaching* a :class:`FabricResilience` creates no
-simulation events and touches no schedule — per-figure event counts stay
-bit-identical with resilience idle (``bench_simspeed.py`` gates this).
+simulation events and touches no schedule — event counts, the simulated
+clock and every port counter stay bit-identical with resilience idle
+(``tests/test_fabric_resilience.py::TestIdleAttachment`` pins this).
 Sampling daemons only start when a fault plan with gray axes is armed.
 """
 

@@ -257,9 +257,6 @@ def run_cell(workload: str, size: int, plan: FaultPlan,
     for stack in tb.stacks:
         for key, val in collect_counters(stack).items():
             stack_counters[key] = stack_counters.get(key, 0) + val
-    # Wall-clock is the one nondeterministic counter; reports must be a
-    # pure function of the cell identity.
-    stack_counters.pop("sim_wall_ms", None)
     if getattr(tb, "switch", None) is not None:
         stack_counters["switch_dropped"] = tb.switch.dropped
         stack_counters["switch_forwarded"] = tb.switch.forwarded

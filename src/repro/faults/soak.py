@@ -211,7 +211,6 @@ def run_soak(spec: SoakSpec, trace: bool = False) -> dict:
             counters[key] = counters.get(key, 0) + val
         for key, val in collect_health(stack).items():
             health[key] = health.get(key, 0) + val
-    counters.pop("sim_wall_ms", None)
 
     report = {
         "soak": spec.name,

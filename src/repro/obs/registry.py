@@ -160,8 +160,8 @@ class MetricsRegistry:
         """Order-insensitive hash of the current snapshot.
 
         ``exclude`` names metrics that are *expected* to vary between
-        observationally equivalent runs (wall-clock timers, event-loop
-        bookkeeping); the race detector strips those before comparing.
+        observationally equivalent runs (event-loop bookkeeping); the race
+        detector strips those before comparing.
         Keys are sorted, so registration order never affects the digest.
         """
         import hashlib

@@ -4,8 +4,8 @@ Each ``fig*`` function rebuilds the workload of the corresponding figure in
 the paper's evaluation section and returns a rendered-able result object
 (:class:`~repro.reporting.figures.Figure` or
 :class:`~repro.reporting.table.Table`).  The ``omx-repro`` CLI (see
-``main``) runs any of them; the pytest-benchmark files under
-``benchmarks/`` wrap the same runners.
+``main``) runs any of them; the figure benchmarks under ``benchmarks/``
+call the same runners and assert the paper's shapes on their results.
 
 Runners declare their sweep as a list of independent *points* and execute
 them through a :class:`~repro.reporting.sweeps.SweepExecutor` — which

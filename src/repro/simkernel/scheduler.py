@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import time
 from collections import deque
 from typing import Callable, Generator, Optional
 
@@ -99,7 +98,7 @@ class Simulator:
 
     #: events processed by every Simulator instance in this process; the
     #: sweep cache tests assert a warm cache runs *zero* simulation, and the
-    #: self-benchmark derives events-per-second per figure from the delta
+    #: quick event-count gate pins the delta per experiment
     events_total: int = 0
 
     #: process-wide source of tie-break policies for simulators built
@@ -124,9 +123,6 @@ class Simulator:
         self._running = False
         #: number of events processed; useful for runaway detection in tests
         self.events_processed: int = 0
-        #: host wall-clock seconds spent inside run()/run_until() — with
-        #: :attr:`events_processed` this yields this loop's events/second
-        self.wall_seconds: float = 0.0
         #: callbacks run by :meth:`finish` (resource sanitizers and other
         #: end-of-simulation invariant checks register here)
         self._teardown_checks: list[Callable[[], None]] = []
@@ -319,7 +315,6 @@ class Simulator:
             return self._run_keyed(until, max_events)
         self._running = True
         count = 0
-        t0 = time.perf_counter()
         nq = self._now_q
         wheel = self._wheel
         heap = self._heap
@@ -429,17 +424,18 @@ class Simulator:
             if gc_was_on:
                 gc.enable()
             self._running = False
-            self.wall_seconds += time.perf_counter() - t0
             self.events_processed += count
             Simulator.events_total += count
         return self.now
 
     def run_until(self, ev: Event, max_events: Optional[int] = None) -> object:
         """Run until ``ev`` triggers; return its value (or raise its error)."""
+        if self._running:
+            raise SimulationError("simulator is not reentrant")
         if self.tiebreak is not None:
             return self._run_until_keyed(ev, max_events)
+        self._running = True
         count = 0
-        t0 = time.perf_counter()
         nq = self._now_q
         wheel = self._wheel
         heap = self._heap
@@ -531,7 +527,7 @@ class Simulator:
         finally:
             if gc_was_on:
                 gc.enable()
-            self.wall_seconds += time.perf_counter() - t0
+            self._running = False
             self.events_processed += count
             Simulator.events_total += count
         return ev.value
@@ -545,7 +541,6 @@ class Simulator:
     def _run_keyed(self, until: Optional[int], max_events: Optional[int]) -> int:
         self._running = True
         count = 0
-        t0 = time.perf_counter()
         heap = self._heap
         pop = heapq.heappop
         log = self._schedule_log
@@ -575,14 +570,13 @@ class Simulator:
                     self.now = until
         finally:
             self._running = False
-            self.wall_seconds += time.perf_counter() - t0
             self.events_processed += count
             Simulator.events_total += count
         return self.now
 
     def _run_until_keyed(self, ev: Event, max_events: Optional[int]) -> object:
+        self._running = True
         count = 0
-        t0 = time.perf_counter()
         heap = self._heap
         pop = heapq.heappop
         log = self._schedule_log
@@ -605,7 +599,7 @@ class Simulator:
                 if max_events is not None and count >= max_events:
                     raise SimulationError(f"exceeded max_events={max_events}")
         finally:
-            self.wall_seconds += time.perf_counter() - t0
+            self._running = False
             self.events_processed += count
             Simulator.events_total += count
         return ev.value

@@ -18,7 +18,8 @@ The ISSUE's acceptance bars, as tier-1 tests:
   seed; random seeded flap schedules (hypothesis) never partition a
   still-connected fat-tree and never perturb determinism;
 * the fabric soaks run to quiescence with live livelock checkpoints, and
-  the shared stall watchdog trips on no progress.
+  the shared stall watchdog trips on no progress;
+* an attached but idle resilience layer leaves the simulation identical.
 """
 
 import dataclasses
@@ -426,6 +427,29 @@ class TestHardwareGray:
                             at=0),))
         with pytest.raises(ValueError):
             arm_plan(tb, plan)
+
+
+class TestIdleAttachment:
+    def test_unwatched_attachment_leaves_the_simulation_identical(self):
+        """Construction registers two counters and schedules nothing, so a
+        64-host allreduce runs the same events to the same clock, port by
+        port, with or without a never-watched resilience layer."""
+        def run(attach):
+            world = launch_fabric_world(make_topology("fat_tree2", 64, 2.0),
+                                        backend="memcpy")
+            if attach:
+                FabricResilience(world.net, seed="idle")
+            world.run_spmd(collective_body("allreduce", 64 * KiB),
+                           max_events=MAXEV)
+            world.finish()
+            net = world.net
+            return (world.sim.events_processed, world.sim.now,
+                    net.chunks_forwarded, net.chunks_dropped,
+                    {p.name: p.stats() for p in net.ports()})
+
+        bare = run(False)
+        assert bare[0] > 0 and bare[2] > 0
+        assert run(True) == bare
 
 
 # ---------------------------------------------------------------------------

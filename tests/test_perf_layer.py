@@ -66,7 +66,6 @@ class TestEventFastPaths:
         sim.run()
         assert sim.events_processed == 3
         assert Simulator.events_total == before_total + 3
-        assert sim.wall_seconds > 0.0
 
     def test_counters_surface_event_loop_stats(self):
         tb = build_testbed()
@@ -90,7 +89,6 @@ class TestEventFastPaths:
         c = collect_counters(tb.stacks[0])
         assert c["sim_events_processed"] > 0
         assert c["sim_events_processed"] == tb.sim.events_processed
-        assert "sim_wall_ms" in c
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.simkernel import Simulator
+from repro.simkernel.errors import SimulationError
 from repro.simkernel.scheduler import _WHEEL_SHIFT, _WHEEL_SLOTS
 from repro.simkernel.tiebreak import FifoTieBreak
 
@@ -156,6 +157,39 @@ class TestSameTickDispatch:
         assert sorted(log) == sorted(
             [("parent", i) for i in range(8)] + [("child", i) for i in range(8)]
         )
+
+
+class TestReentry:
+    """``run`` and ``run_until`` share one not-reentrant guard, on the fast
+    containers and on the keyed loops alike: a callback that drives the
+    loop it runs in would drain entries out of order and move the clock
+    under the outer loop."""
+
+    @pytest.mark.parametrize("policy", [None, FifoTieBreak], ids=["fast", "keyed"])
+    @pytest.mark.parametrize("inner", ["run", "run_until"])
+    @pytest.mark.parametrize("outer", ["run", "run_until"])
+    def test_nested_drive_raises_and_leaves_the_loop_usable(
+            self, outer, inner, policy):
+        sim = Simulator(tiebreak=policy() if policy is not None else None)
+        done = sim.event()
+
+        def nested():
+            if inner == "run":
+                sim.run(until=sim.now + 10)
+            else:
+                sim.run_until(sim.timeout(10))
+
+        sim.call_at(5, nested)
+        sim.call_at(6, done.succeed)
+        with pytest.raises(SimulationError, match="not reentrant"):
+            if outer == "run":
+                sim.run()
+            else:
+                sim.run_until(done)
+        assert sim.now == 5
+        # the guard is cleared on the way out: the entry at 6 still runs
+        sim.run_until(done)
+        assert sim.now == 6
 
 
 # ---------------------------------------------------------------------------
