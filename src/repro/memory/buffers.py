@@ -39,14 +39,15 @@ class MemoryRegion:
         The address space this region belongs to, if any.
     """
 
-    __slots__ = ("addr", "_data", "_size", "owner")
+    __slots__ = ("addr", "_data", "_size", "owner", "_parent")
 
     def __init__(self, addr: int, data: "np.ndarray | int",
                  owner: Optional["AddressSpace"] = None):
         if isinstance(data, int):
-            # Lazy backing: the zeros are materialized on first data access.
-            # Phantom-mode workloads allocate megabytes they never touch
-            # (every big write/copy is elided), so most regions stay virtual.
+            # Lazy backing: the zeros (a subregion's view of its parent) are
+            # materialized on first data access.  Phantom-mode workloads allocate
+            # megabytes they never touch (every big write/copy is elided), so
+            # most regions stay virtual.
             self._data: Optional[np.ndarray] = None
             self._size = data
         else:
@@ -56,12 +57,18 @@ class MemoryRegion:
             self._size = int(data.size)
         self.addr = addr
         self.owner = owner
+        self._parent: Optional[MemoryRegion] = None
 
     @property
     def data(self) -> np.ndarray:
         d = self._data
         if d is None:
-            d = self._data = np.zeros(self._size, dtype=np.uint8)
+            parent = self._parent
+            if parent is None:
+                d = np.zeros(self._size, dtype=np.uint8)
+            else:
+                d = parent.data[self.addr - parent.addr : self.end - parent.addr]
+            self._data = d
         return d
 
     # -- geometry -----------------------------------------------------------
@@ -84,7 +91,11 @@ class MemoryRegion:
                 f"subregion [{offset}, {offset + length}) outside region of "
                 f"size {len(self)}"
             )
-        return MemoryRegion(self.addr + offset, self.data[offset : offset + length], self.owner)
+        if self._data is None:
+            sub = MemoryRegion(self.addr + offset, int(length), self.owner)
+            sub._parent = self
+            return sub
+        return MemoryRegion(self.addr + offset, self._data[offset : offset + length], self.owner)
 
     # -- data access ----------------------------------------------------------
 

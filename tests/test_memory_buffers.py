@@ -68,6 +68,18 @@ class TestMemoryRegion:
         assert bytes(r.read(20, 10)) == b"x" * 10
         assert sub.addr == r.addr + 20
 
+    def test_subregion_of_virtual_region_stays_virtual(self, space):
+        r = space.alloc(1 << 20)
+        sub = r.subregion(4096, 100).subregion(10, 20)
+        assert r._data is None and sub._data is None
+        sub.write(0, b"y" * 20)
+        assert bytes(r.read(4106, 20)) == b"y" * 20
+        assert bytes(r.subregion(4106, 20).read()) == b"y" * 20
+        other = space.alloc(64)
+        early = other.subregion(8, 8)
+        other.write(8, b"z" * 8)
+        assert bytes(early.read()) == b"z" * 8
+
     def test_subregion_bounds_checked(self, space):
         r = space.alloc(10)
         with pytest.raises(ValueError):
