@@ -336,11 +336,7 @@ def workload_scenario(workload: str, size: int = 4096,
         from repro.fabric.sweep import fabric_scenario
 
         return fabric_scenario(size=size)
-    build = {
-        "pingpong": campaign._workload_pingpong,
-        "stream": campaign._workload_stream,
-        "incast": campaign._workload_incast,
-    }[workload]
+    build = campaign.WORKLOAD_BUILDERS[workload]
 
     def scenario() -> Observation:
         tb = campaign._build_testbed(workload)

@@ -40,8 +40,6 @@ CELL_DEADLINE = ms(60)
 #: per-cell event budget (runaway guard; a healthy cell uses far less)
 CELL_MAX_EVENTS = 30_000_000
 
-WORKLOADS = ("pingpong", "stream", "incast")
-
 #: incast fan-in degree (1 receiver + INCAST_SENDERS senders)
 INCAST_SENDERS = 3
 
@@ -191,6 +189,16 @@ def _workload_incast(tb, size: int, iters: int) -> dict[str, _Transfer]:
     return transfers
 
 
+#: workload name -> builder(tb, size, iters) -> {key: _Transfer}
+WORKLOAD_BUILDERS = {
+    "pingpong": _workload_pingpong,
+    "stream": _workload_stream,
+    "incast": _workload_incast,
+}
+
+WORKLOADS = tuple(WORKLOAD_BUILDERS)
+
+
 def _build_testbed(workload: str):
     from repro.cluster.testbed import build_testbed
     from repro.ethernet.switch import build_switched_testbed
@@ -198,6 +206,15 @@ def _build_testbed(workload: str):
     if workload == "incast":
         return build_switched_testbed(INCAST_SENDERS + 1, ioat_enabled=True)
     return build_testbed(ioat_enabled=True)
+
+
+def sum_over_stacks(tb, collect) -> dict[str, int]:
+    """``collect(stack)`` summed key by key over every stack of ``tb``."""
+    out: dict[str, int] = {}
+    for stack in tb.stacks:
+        for key, val in collect(stack).items():
+            out[key] = out.get(key, 0) + val
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +227,24 @@ def _build_testbed(workload: str):
 TRACE_MAX_SPANS = 4096
 
 
-def run_cell(workload: str, size: int, plan: FaultPlan,
-             iters: int = 3, trace: bool = False) -> dict:
-    """Run one (workload, size, plan) cell; returns its JSON-able report.
+def drive(workload: str, size: int, plan: FaultPlan, iters: int,
+          deadline: int, max_events: int, trace: bool = False,
+          watch=None) -> tuple:
+    """The body of a campaign cell and of a soak run; returns ``(tb, report)``.
 
-    With ``trace=True`` every host records a bounded span timeline and the
+    Builds a fresh testbed with the sanitizers attached, arms ``plan``,
+    posts the workload, then calls ``watch(tb, transfers)`` if given (the
+    soak starts its checkpoint daemon there).  It runs to ``deadline``,
+    classifies every transfer and sanitizes.  The report holds what cells
+    and soaks share; each caller adds its own counters.  With
+    ``trace=True`` every host records a bounded span timeline and the
     report gains a ``trace_events`` document (Perfetto JSON, one process
-    group per host) — faults and retransmits show up as instant events.
+    group per host): faults and retransmits show up as instant events.
     """
     from repro.analysis.sanitizers import Sanitizer
-    from repro.core.counters import collect_counters
 
-    if workload not in WORKLOADS:
+    build = WORKLOAD_BUILDERS.get(workload)
+    if build is None:
         raise ValueError(f"unknown workload {workload!r}")
     tb = _build_testbed(workload)
     if trace:
@@ -233,14 +256,11 @@ def run_cell(workload: str, size: int, plan: FaultPlan,
         san.watch_host(host)
 
     armed = arm_plan(tb, plan)
-    if workload == "pingpong":
-        transfers = _workload_pingpong(tb, size, iters)
-    elif workload == "stream":
-        transfers = _workload_stream(tb, size, iters)
-    else:
-        transfers = _workload_incast(tb, size, iters)
+    transfers = build(tb, size, iters)
+    if watch is not None:
+        watch(tb, transfers)
 
-    tb.sim.run(until=CELL_DEADLINE, max_events=CELL_MAX_EVENTS)
+    tb.sim.run(until=deadline, max_events=max_events)
 
     outcomes = {"completed": 0, "failed": 0, "hung": 0}
     failures: dict[str, int] = {}
@@ -253,15 +273,6 @@ def run_cell(workload: str, size: int, plan: FaultPlan,
         if outcome == "hung":
             hung_keys.append(key)
 
-    stack_counters: dict[str, int] = {}
-    for stack in tb.stacks:
-        for key, val in collect_counters(stack).items():
-            stack_counters[key] = stack_counters.get(key, 0) + val
-    if getattr(tb, "switch", None) is not None:
-        stack_counters["switch_dropped"] = tb.switch.dropped
-        stack_counters["switch_forwarded"] = tb.switch.forwarded
-
-    violations = [v.format() for v in san.check()]
     report = {
         "workload": workload,
         "size": size,
@@ -272,8 +283,7 @@ def run_cell(workload: str, size: int, plan: FaultPlan,
         "failures": failures,
         "hung_keys": hung_keys,
         "injected": armed.counters(),
-        "counters": stack_counters,
-        "sanitizer": violations,
+        "sanitizer": [v.format() for v in san.check()],
         "end_time": tb.sim.now,
     }
     if trace:
@@ -282,14 +292,28 @@ def run_cell(workload: str, size: int, plan: FaultPlan,
         report["trace_events"] = export_trace_events(
             [(host.name, host.trace) for host in tb.hosts]
         )
+    return tb, report
+
+
+def run_cell(workload: str, size: int, plan: FaultPlan,
+             iters: int = 3, trace: bool = False) -> dict:
+    """Run one (workload, size, plan) cell; returns its JSON-able report
+    (:func:`drive`'s, plus the stack and switch counters)."""
+    from repro.core.counters import collect_counters
+
+    tb, report = drive(workload, size, plan, iters, CELL_DEADLINE,
+                       CELL_MAX_EVENTS, trace)
+    counters = sum_over_stacks(tb, collect_counters)
+    if getattr(tb, "switch", None) is not None:
+        counters["switch_dropped"] = tb.switch.dropped
+        counters["switch_forwarded"] = tb.switch.forwarded
+    report["counters"] = counters
     return report
 
 
-def point_fault_cell(workload: str, size: int, plan: dict, iters: int,
-                     trace: bool = False) -> dict:
+def point_fault_cell(workload: str, size: int, plan: dict, iters: int) -> dict:
     """Sweep-executor entry: plans travel as dicts (JSON-serializable)."""
-    return run_cell(workload, size, FaultPlan.from_dict(plan), iters=iters,
-                    trace=trace)
+    return run_cell(workload, size, FaultPlan.from_dict(plan), iters=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +372,16 @@ def quick_campaign_spec(seed: str = "campaign") -> CampaignSpec:
     )
 
 
-def run_campaign(spec: CampaignSpec, executor=None, trace: bool = False) -> dict:
-    """Execute a campaign matrix; returns the aggregated report.
-
-    ``trace=True`` adds a bounded Perfetto timeline to every cell (see
-    :func:`run_cell`); the parameter is only put on the point when set, so
-    traceless campaigns keep their historical cache keys.
-    """
+def run_campaign(spec: CampaignSpec, executor=None) -> dict:
+    """Execute a campaign matrix; returns the aggregated report."""
     from repro.reporting.sweeps import SweepExecutor, point
 
     cells, skipped = spec.cells()
     if executor is None:
         executor = SweepExecutor()
-    extra = {"trace": True} if trace else {}
     points = [
         point("fault_cell", workload=w, size=s, plan=p.to_dict(),
-              iters=spec.iters, **extra)
+              iters=spec.iters)
         for (w, s, p) in cells
     ]
     results = executor.run(points)

@@ -6,11 +6,11 @@ arcs — I/OAT fail→recover cycles, flapping links, incast bursts — over a
 longer horizon and additionally checks *while running* that the stack is
 making progress and not accumulating resources:
 
-* a checkpoint daemon wakes every ``checkpoint_interval`` ticks and
+* a checkpoint daemon wakes every :data:`CHECKPOINT_INTERVAL` ticks and
   records (non-terminal transfers, outstanding skbuffs, net pins,
   retransmissions, frames moved);
 * if nothing moved — no transfer reached a terminal state and no frame
-  crossed any NIC — for ``stall_limit`` consecutive checkpoints, the run
+  crossed any NIC — for :data:`STALL_LIMIT` consecutive checkpoints, the run
   aborts with :class:`LivelockError`.  The reliability layer's timeout
   ladder (dead-letter ≈4 ms, pull abort ≈16 ms, peer-dead 20 ms) turns
   every stuck request terminal well inside that budget, so a trip really
@@ -36,8 +36,7 @@ no-progress trip is the livelock detector.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.faults.injectors import arm_plan
@@ -72,9 +71,6 @@ class SoakSpec:
     size: int
     iters: int
     plan: FaultPlan
-    deadline: int = SOAK_DEADLINE
-    checkpoint_interval: int = CHECKPOINT_INTERVAL
-    stall_limit: int = STALL_LIMIT
 
 
 def soak_suite(seed: str = "soak", iters: int = 6) -> list[SoakSpec]:
@@ -150,127 +146,64 @@ def _checkpoint_daemon(tb, spec: SoakSpec, transfers, checkpoints: list):
         return frames, len(transfers) - open_transfers
 
     _stall_watchdog(tb.sim, f"soak-checkpoint-{spec.name}",
-                    spec.checkpoint_interval, spec.stall_limit, sample)
+                    CHECKPOINT_INTERVAL, STALL_LIMIT, sample)
 
 
 def run_soak(spec: SoakSpec, trace: bool = False) -> dict:
     """Run one soak spec to quiescence; returns its JSON-able report.
 
-    The report mirrors a campaign cell's (outcomes / failures / injected /
-    counters / sanitizer), plus the checkpoint trail and a ``health``
-    section with just the supervision counters (breaker trips and
-    re-opens, keepalives, peer deaths, busy signals).
+    The run is a campaign cell's body (:func:`repro.faults.campaign.drive`)
+    with the checkpoint daemon watching it, so the report mirrors a cell's
+    (outcomes / failures / injected / counters / sanitizer), plus the
+    checkpoint trail and a ``health`` section with just the supervision
+    counters (breaker trips and re-opens, keepalives, peer deaths, busy
+    signals).
     """
-    from repro.analysis.sanitizers import Sanitizer
     from repro.core.counters import collect_counters, collect_health
-    from repro.faults.campaign import (
-        TRACE_MAX_SPANS,
-        _build_testbed,
-        _workload_incast,
-        _workload_pingpong,
-        _workload_stream,
-    )
-
-    tb = _build_testbed(spec.workload)
-    if trace:
-        for host in tb.hosts:
-            host.trace.enabled = True
-            host.trace.set_max_spans(TRACE_MAX_SPANS)
-    san = Sanitizer()
-    for host in tb.hosts:
-        san.watch_host(host)
-
-    armed = arm_plan(tb, spec.plan)
-    workload = {
-        "stream": _workload_stream,
-        "pingpong": _workload_pingpong,
-        "incast": _workload_incast,
-    }[spec.workload]
-    transfers = workload(tb, spec.size, spec.iters)
+    from repro.faults.campaign import drive, sum_over_stacks
 
     checkpoints: list[dict] = []
-    _checkpoint_daemon(tb, spec, transfers, checkpoints)
-
-    tb.sim.run(until=spec.deadline, max_events=SOAK_MAX_EVENTS)
-
-    outcomes = {"completed": 0, "failed": 0, "hung": 0}
-    failures: dict[str, int] = {}
-    hung_keys = []
-    for key in sorted(transfers):
-        outcome, err = transfers[key].classify()
-        outcomes[outcome] += 1
-        if err is not None:
-            failures[err] = failures.get(err, 0) + 1
-        if outcome == "hung":
-            hung_keys.append(key)
-
-    counters: dict[str, int] = {}
-    health: dict[str, int] = {}
-    for stack in tb.stacks:
-        for key, val in collect_counters(stack).items():
-            counters[key] = counters.get(key, 0) + val
-        for key, val in collect_health(stack).items():
-            health[key] = health.get(key, 0) + val
-
-    report = {
-        "soak": spec.name,
-        "workload": spec.workload,
-        "size": spec.size,
-        "iters": spec.iters,
-        "plan": spec.plan.name,
-        "seed": spec.plan.seed,
-        "messages": len(transfers),
-        "outcomes": outcomes,
-        "failures": failures,
-        "hung_keys": hung_keys,
-        "injected": armed.counters(),
-        "checkpoints": checkpoints,
-        "counters": counters,
-        "health": health,
-        "sanitizer": [v.format() for v in san.check()],
-        "end_time": tb.sim.now,
-    }
-    if trace:
-        from repro.obs.trace import export_trace_events
-
-        report["trace_events"] = export_trace_events(
-            [(host.name, host.trace) for host in tb.hosts]
-        )
+    tb, report = drive(
+        spec.workload, spec.size, spec.plan, spec.iters, SOAK_DEADLINE,
+        SOAK_MAX_EVENTS, trace,
+        watch=lambda tb, transfers: _checkpoint_daemon(tb, spec, transfers,
+                                                       checkpoints))
+    report.update(
+        soak=spec.name,
+        iters=spec.iters,
+        checkpoints=checkpoints,
+        counters=sum_over_stacks(tb, collect_counters),
+        health=sum_over_stacks(tb, collect_health),
+    )
     return report
 
 
-def run_soak_suite(seed: str = "soak", iters: int = 6,
-                   deadline: int = SOAK_DEADLINE,
-                   fabric: bool = True) -> dict:
+def run_soak_suite(seed: str = "soak", iters: int = 6) -> dict:
     """Run the whole stock suite under one seed; aggregates like a
     campaign report.  Byte-identical per seed (sorted-keys JSON).
 
-    With ``fabric`` (the default) the chunk-level fabric soak suite
-    (:func:`run_fabric_soak_suite`) rides along as a separate ``"fabric"``
-    section — same seed, same determinism contract.
+    The chunk-level fabric soak suite (:func:`run_fabric_soak_suite`)
+    rides along as a separate ``"fabric"`` section: same seed, same
+    determinism contract.
     """
     runs = []
     totals = {"completed": 0, "failed": 0, "hung": 0}
     dirty = []
     for spec in soak_suite(seed, iters=iters):
-        if deadline != spec.deadline:
-            spec = replace(spec, deadline=deadline)
         report = run_soak(spec)
         runs.append(report)
         for key in totals:
             totals[key] += report["outcomes"][key]
         if report["sanitizer"]:
             dirty.append(spec.name)
-    out = {
+    return {
         "seed": seed,
         "iters": iters,
         "runs": runs,
         "totals": totals,
         "sanitizer_dirty_runs": dirty,
+        "fabric": run_fabric_soak_suite(seed),
     }
-    if fabric:
-        out["fabric"] = run_fabric_soak_suite(seed)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +233,6 @@ class FabricSoakSpec:
     size: int = 32 * KiB
     rounds: int = 4
     oversubscription: float = 2.0
-    checkpoint_interval: int = FABRIC_CHECKPOINT_INTERVAL
-    stall_limit: int = FABRIC_STALL_LIMIT
-    max_events: int = FABRIC_SOAK_MAX_EVENTS
 
 
 def fabric_soak_suite(seed: str = "soak") -> list[FabricSoakSpec]:
@@ -349,7 +279,7 @@ def _fabric_checkpoint_daemon(world, spec: FabricSoakSpec, state: dict,
     """Progress sampling over the fabric's flow counters.
 
     Progress means a message reached a terminal state (delivered or
-    failed) or a chunk moved (forwarded or retried); ``stall_limit``
+    failed) or a chunk moved (forwarded or retried); :data:`FABRIC_STALL_LIMIT`
     checkpoints without any of that while work is still open is a
     livelock — the resilience layer's whole drain argument (declaration
     waves, retry caps, breaker hold-downs) bounds every stall well under
@@ -378,7 +308,7 @@ def _fabric_checkpoint_daemon(world, spec: FabricSoakSpec, state: dict,
         return terminal, net.chunks_forwarded + net.chunks_retried
 
     _stall_watchdog(world.sim, f"fabric-soak-checkpoint-{spec.name}",
-                    spec.checkpoint_interval, spec.stall_limit, sample)
+                    FABRIC_CHECKPOINT_INTERVAL, FABRIC_STALL_LIMIT, sample)
 
 
 def run_fabric_soak(spec: FabricSoakSpec) -> dict:
@@ -409,7 +339,7 @@ def run_fabric_soak(spec: FabricSoakSpec) -> dict:
         state["open_bodies"] -= 1
 
     sanitizer: list[str] = []
-    world.run_spmd(body, max_events=spec.max_events)
+    world.run_spmd(body, max_events=FABRIC_SOAK_MAX_EVENTS)
     try:
         world.finish()
     except AssertionError as exc:
@@ -455,7 +385,3 @@ def run_fabric_soak_suite(seed: str = "soak") -> dict:
         "sanitizer_dirty_runs": dirty,
     }
 
-
-def report_json(report: dict) -> str:
-    """Canonical byte-stable serialization (the determinism contract)."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"

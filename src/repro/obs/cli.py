@@ -2,8 +2,8 @@
 
 ::
 
-    repro-obs report --figure 9              # Fig. 9 CPU usage + phases
-    repro-obs report --figure 9 --full --json results/fig9_obs.json
+    repro-obs report                         # Fig. 9 CPU usage + phases
+    repro-obs report --full --json results/fig9_obs.json
     repro-obs export --figure both --out traces/fig56.json
     repro-obs diff results/a.json results/b.json
 """
@@ -20,18 +20,13 @@ def _cmd_report(args) -> int:
     from repro.obs.profiler import fig9_report, render_fig9
     from repro.reporting.sweeps import SweepExecutor
 
-    if args.figure != 9:
-        print(f"unsupported report figure {args.figure} (supported: 9)",
-              file=sys.stderr)
-        return 2
     executor = SweepExecutor(jobs=args.jobs, cache=not args.no_cache)
     report = fig9_report(quick=not args.full, executor=executor)
     print(render_fig9(report))
     if args.json:
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        print(f"report: {path}")
+        from repro.faults.campaign import write_report
+
+        print(f"report: {write_report(report, args.json)}")
     return 0 if report["calibration_ok"] else 1
 
 
@@ -107,8 +102,7 @@ def main(argv=None) -> int:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    rep = sub.add_parser("report", help="paper-figure observability report")
-    rep.add_argument("--figure", type=int, default=9)
+    rep = sub.add_parser("report", help="Fig. 9 CPU usage with phase profile")
     rep.add_argument("--full", action="store_true",
                      help="full size sweep (default: quick)")
     rep.add_argument("--json", default=None, help="also write the JSON report")

@@ -97,31 +97,6 @@ class PhaseProfiler:
 
 
 # ---------------------------------------------------------------------------
-# the Fig. 9 sweep point (top-level: picklable for the process pool)
-# ---------------------------------------------------------------------------
-
-
-def point_cpu_profile(size: int, iters: int, ioat: bool, regcache: bool,
-                      overrides: dict) -> dict:
-    """One profiled stream run: Fig. 9 bands + phase decomposition."""
-    from repro.cluster.testbed import build_testbed
-    from repro.workloads import run_stream_usage
-
-    tb = build_testbed(ioat_enabled=ioat, regcache_enabled=regcache, **overrides)
-    receiver = tb.hosts[1]
-    prof = PhaseProfiler(tb.sim).attach(receiver.cpus)
-    u = run_stream_usage(tb, size, iterations=iters)
-    return {
-        "user_pct": u.user_pct,
-        "driver_pct": u.driver_pct,
-        "bh_pct": u.bh_pct,
-        "total_pct": u.total_pct,
-        "throughput_mib_s": u.throughput_mib_s,
-        "phases_pct": prof.percent(u.window_ticks),
-    }
-
-
-# ---------------------------------------------------------------------------
 # the Fig. 9 report
 # ---------------------------------------------------------------------------
 
@@ -150,7 +125,7 @@ def _point_params(size: int, ioat: bool, quick: bool) -> dict:
     overrides = dict(RNDV_REGIME_32K) if size <= 32 * KiB else {}
     iters = 4 if size >= 4 * MiB else (6 if quick else 10)
     return {"size": size, "iters": iters, "ioat": ioat,
-            "regcache": False, "overrides": overrides}
+            "regcache": False, "omx": overrides}
 
 
 def fig9_report(quick: bool = True, executor=None) -> dict:
@@ -166,7 +141,7 @@ def fig9_report(quick: bool = True, executor=None) -> dict:
         executor = SweepExecutor()
     sizes = _QUICK_SIZES if quick else _FULL_SIZES
     points = [
-        point("cpu_profile", **_point_params(size, ioat, quick))
+        point("stream_usage", **_point_params(size, ioat, quick))
         for ioat in (False, True)
         for size in sizes
     ]

@@ -14,6 +14,8 @@ processes.  Pass ``executor=`` to share one executor (and its statistics)
 across runners; the default executor is configured from the environment.
 
 ``quick=True`` trims sizes/iterations for CI-speed runs; the shapes remain.
+``fabric_sweep``, ``faults_campaign`` and ``faults_soak`` also write their
+``results/*.json`` report into the working directory.
 """
 
 from __future__ import annotations
@@ -438,6 +440,81 @@ def fabric_sweep(quick: bool = False,
 
 
 # ---------------------------------------------------------------------------
+# Fault campaign and soak — the reliability contract of §III-B
+# ---------------------------------------------------------------------------
+
+def _fail_on(experiment: str, hung: list[str], dirty: list[str]) -> None:
+    """The fault experiments' gate, checked after the report is written: a
+    hung transfer or a sanitizer finding fails the run, naming the cells."""
+    if hung or dirty:
+        raise RuntimeError(f"{experiment}: hung transfers in {hung}, "
+                           f"sanitizer findings in {dirty}")
+
+
+def faults_campaign(quick: bool = False,
+                    executor: Optional[SweepExecutor] = None) -> Table:
+    """The tier-1 fault-campaign matrix (DESIGN.md §10): 3 workloads x 2
+    sizes x 5 fault plans, one fresh testbed per cell.
+
+    Writes ``results/faults_campaign.json`` (sorted keys, byte-stable), then
+    fails if any cell hung or leaked.  The matrix is the same with or
+    without ``quick``.
+    """
+    from repro.faults.campaign import quick_campaign_spec, run_campaign, write_report
+
+    report = run_campaign(quick_campaign_spec(), executor=_executor(executor))
+    write_report(report, "results/faults_campaign.json")
+
+    t = Table("FAULTS: campaign cells (seed 'campaign')",
+              ["cell", "completed", "failed", "hung", "sanitizer"])
+    hung = []
+    for cell in report["cells"]:
+        name = f'{cell["workload"]}/{cell["size"]}/{cell["plan"]}'
+        t.add_row(name, cell["outcomes"]["completed"], cell["outcomes"]["failed"],
+                  cell["outcomes"]["hung"], "DIRTY" if cell["sanitizer"] else "clean")
+        if cell["outcomes"]["hung"]:
+            hung.append(name)
+    _fail_on("faults_campaign", hung, report["sanitizer_dirty_cells"])
+    return t
+
+
+def faults_soak(quick: bool = False,
+                executor: Optional[SweepExecutor] = None) -> Table:
+    """The chained-fault soak suite (DESIGN.md §12) and the fabric soaks
+    (§17.4), under the seed ``soak``.
+
+    Writes ``results/faults_soak.json`` (sorted keys, byte-stable), then
+    fails if any run hung or leaked.  Soak runs are not sweep points: they
+    run in-process, so ``executor`` is unused, and ``quick`` changes nothing.
+    """
+    from repro.faults.campaign import write_report
+    from repro.faults.soak import run_soak_suite
+
+    report = run_soak_suite("soak")
+    write_report(report, "results/faults_soak.json")
+
+    t = Table("FAULTS: soak runs (seed 'soak')",
+              ["run", "completed", "failed", "hung", "breaker trips",
+               "reopens", "sanitizer"])
+    for run in report["runs"]:
+        t.add_row(f'{run["soak"]}/{run["workload"]}/{run["size"] // KiB}K',
+                  run["outcomes"]["completed"], run["outcomes"]["failed"],
+                  run["outcomes"]["hung"], run["health"].get("breaker_trips", 0),
+                  run["health"].get("breaker_reopens", 0),
+                  "DIRTY" if run["sanitizer"] else "clean")
+    fabric = report["fabric"]
+    for run in fabric["runs"]:
+        t.add_row(f'fabric/{run["soak"]}', run["net"]["msgs_delivered"],
+                  run["net"]["msgs_failed"], "-", "-", "-",
+                  "DIRTY" if run["sanitizer"] else "clean")
+    _fail_on("faults_soak",
+             [run["soak"] for run in report["runs"] if run["outcomes"]["hung"]],
+             report["sanitizer_dirty_runs"]
+             + [f"fabric/{name}" for name in fabric["sanitizer_dirty_runs"]])
+    return t
+
+
+# ---------------------------------------------------------------------------
 # registry + CLI
 # ---------------------------------------------------------------------------
 
@@ -453,6 +530,8 @@ EXPERIMENTS: dict[str, Callable] = {
     "nas": nas,
     "engine_shootout": engine_shootout,
     "fabric_sweep": fabric_sweep,
+    "faults_campaign": faults_campaign,
+    "faults_soak": faults_soak,
 }
 
 

@@ -124,18 +124,23 @@ def point_ioat_chunked(size: int, chunk: int) -> float:
 
 def point_stream_usage(size: int, iters: int, ioat: bool, regcache: bool,
                        omx: dict = None) -> dict:
-    """Receiver CPU-usage bands while streaming large messages (Fig. 9).
+    """Receiver CPU-usage bands while streaming large messages (Fig. 9),
+    with the receiver's phase decomposition (``phases_pct``).
 
     ``omx`` carries extra config overrides (e.g. ``copy_backend`` for the
-    engine shootout); the parameter is optional so points declared without
-    it keep their existing cache keys.
+    engine shootout, the rendezvous thresholds for the Fig. 9 report); the
+    parameter is optional so points declared without it keep their
+    existing cache keys.  The profiler schedules no events, so attaching
+    it leaves the run identical.
     """
     from repro.cluster.testbed import build_testbed
+    from repro.obs.profiler import PhaseProfiler
     from repro.workloads import run_stream_usage
 
     overrides = dict(ioat_enabled=ioat, regcache_enabled=regcache)
     overrides.update(omx or {})
     tb = build_testbed(**overrides)
+    prof = PhaseProfiler(tb.sim).attach(tb.hosts[1].cpus)
     u = run_stream_usage(tb, size, iterations=iters)
     return {
         "user_pct": u.user_pct,
@@ -143,6 +148,7 @@ def point_stream_usage(size: int, iters: int, ioat: bool, regcache: bool,
         "bh_pct": u.bh_pct,
         "total_pct": u.total_pct,
         "throughput_mib_s": u.throughput_mib_s,
+        "phases_pct": prof.percent(u.window_ticks),
     }
 
 
@@ -198,7 +204,6 @@ POINT_KINDS: dict[str, Callable] = {
 #: (repro.faults.campaign imports SweepExecutor from here)
 LAZY_POINT_KINDS: dict[str, str] = {
     "fault_cell": "repro.faults.campaign:point_fault_cell",
-    "cpu_profile": "repro.obs.profiler:point_cpu_profile",
     "vectored": "repro.workloads.vectored:point_vectored",
     "fabric": "repro.fabric.sweep:run_fabric_collective",
     "fabric_cell": "repro.fabric.sweep:run_fabric_cell",

@@ -65,34 +65,6 @@ def _run_callbacks(ev: Event, callbacks: list) -> None:
         cb(ev)
 
 
-class TimerHandle:
-    """Cancellable handle returned by :meth:`Simulator.schedule`.
-
-    Cancellation tombstones the entry in place (the containers skip dead
-    entries at drain time, uncounted and unlogged); it does not remove it,
-    so cancel is O(1) and never perturbs live-entry order.
-    """
-
-    __slots__ = ("_entry",)
-
-    def __init__(self, entry: list):
-        self._entry = entry
-
-    def cancel(self) -> None:
-        """Prevent the action from running.  Idempotent; no-op once fired."""
-        e = self._entry
-        e[2] = None
-        e[3] = ()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[2] is None
-
-    @property
-    def when(self) -> int:
-        return self._entry[0]
-
-
 class Simulator:
     """Discrete-event scheduler with integer-nanosecond time."""
 
@@ -115,7 +87,7 @@ class Simulator:
         self._now_q: deque[list] = deque()
         #: near-future entries, radix-partitioned into per-slot mini-heaps
         self._wheel: list[list[list]] = [[] for _ in range(_WHEEL_SLOTS)]
-        #: live + tombstoned entries currently in the wheel
+        #: entries currently in the wheel
         self._wheel_count: int = 0
         #: lower bound on the slot tick of the earliest wheel entry
         self._wheel_hint: int = 0
@@ -141,15 +113,13 @@ class Simulator:
             key = tiebreak.key
             heap = self._heap
 
-            def push_keyed(when: int, fn: Callable, args: tuple = ()) -> list:
+            def push_keyed(when: int, fn: Callable, args: tuple = ()) -> None:
                 if when < self.now:
                     raise SimulationError(
                         f"cannot schedule in the past ({when} < {self.now})"
                     )
                 self._seq += 1
-                entry = [when, key(self._seq), fn, args]
-                heapq.heappush(heap, entry)
-                return entry
+                heapq.heappush(heap, [when, key(self._seq), fn, args])
 
             self._push = push_keyed
 
@@ -189,16 +159,15 @@ class Simulator:
 
     # -- internal scheduling ----------------------------------------------
 
-    def _push(self, when: int, fn: Callable, args: tuple = ()) -> list:
+    def _push(self, when: int, fn: Callable, args: tuple = ()) -> None:
         now = self.now
         if when <= now:
             if when < now:
                 raise SimulationError(
                     f"cannot schedule in the past ({when} < {now})"
                 )
-            entry = [when, 0, fn, args]
-            self._now_q.append(entry)
-            return entry
+            self._now_q.append([when, 0, fn, args])
+            return
         self._seq += 1
         entry = [when, self._seq, fn, args]
         tick = when >> _WHEEL_SHIFT
@@ -209,7 +178,6 @@ class Simulator:
                 self._wheel_hint = tick
         else:
             heapq.heappush(self._heap, entry)
-        return entry
 
     def _schedule_timeout(self, ev: Event, delay: int, value: object) -> None:
         # succeed() defaults its value to None, so the bound method goes on
@@ -259,25 +227,14 @@ class Simulator:
         """Run ``fn(*args)`` at the current time, FIFO after queued work."""
         self._push(self.now, fn, args)
 
-    def schedule(self, when: int, fn: Callable, *args: object) -> TimerHandle:
-        """Like :meth:`call_at`, but returns a cancellable handle.
-
-        Meant for timers that are usually cancelled before they fire
-        (watchdogs, retransmit deadlines); the hot fire-and-forget paths
-        use :meth:`call_at`, which allocates no handle.
-        """
-        return TimerHandle(self._push(when, fn, args))
-
     # -- run loop ----------------------------------------------------------
 
-    def _next_entry(self) -> tuple[Optional[list], bool]:
-        """Peek the earliest scheduled (wheel/heap) entry.
+    def _next_entry(self) -> Optional[list]:
+        """Peek the earliest scheduled (wheel/heap) entry, or None.
 
-        Returns ``(entry, from_wheel)``; tombstones are *not* skipped here —
-        the drain loops pop and discard them (uncounted).  The plain
-        ``(when, seq)`` comparison between the wheel top and the heap top
-        is exact FIFO: for any target time, heap entries (pushed while the
-        time was beyond the horizon) always predate wheel entries.
+        The plain ``(when, seq)`` comparison between the wheel top and the
+        heap top is exact FIFO: for any target time, heap entries (pushed
+        while the time was beyond the horizon) always predate wheel entries.
         """
         wtop = None
         if self._wheel_count:
@@ -290,19 +247,9 @@ class Simulator:
             self._wheel_hint = tick
             wtop = slot[0]
         heap = self._heap
-        if not heap:
-            return (wtop, True) if wtop is not None else (None, False)
-        htop = heap[0]
-        if wtop is None or htop < wtop:
-            return htop, False
-        return wtop, True
-
-    def _pop_top(self, from_wheel: bool) -> None:
-        if from_wheel:
-            heapq.heappop(self._wheel[self._wheel_hint & _WHEEL_MASK])
-            self._wheel_count -= 1
-        else:
-            heapq.heappop(self._heap)
+        if heap and (wtop is None or heap[0] < wtop):
+            return heap[0]
+        return wtop
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the queues drain, ``until`` is reached, or ``max_events``.
@@ -346,8 +293,6 @@ class Simulator:
                         break
                     heappop(heap)
                     fn = top[2]
-                    if fn is None:
-                        continue  # cancelled: uncounted tombstone
                     if log is not None:
                         log.append((now, _action_label(fn)))
                     fn(*top[3])
@@ -373,8 +318,6 @@ class Simulator:
                         heappop(slot)
                         self._wheel_count -= 1
                         fn = top[2]
-                        if fn is None:
-                            continue
                         if log is not None:
                             log.append((now, _action_label(fn)))
                         fn(*top[3])
@@ -390,8 +333,6 @@ class Simulator:
                 while nq:
                     e = nq.popleft()
                     fn = e[2]
-                    if fn is None:
-                        continue
                     if log is not None:
                         log.append((now, _action_label(fn)))
                     fn(*e[3])
@@ -402,16 +343,8 @@ class Simulator:
                         )
                 # 3) advance to the next scheduled time (or stop).  The peek
                 #    must be fresh: the same-tick batch may have scheduled
-                #    entries earlier than anything seen above.  Tombstones
-                #    are discarded here rather than advanced onto: the
-                #    historical loop never set the clock for a cancelled
-                #    entry, so a drain that ends on pure tombstones must
-                #    leave ``now`` at the last *live* action's time.
-                while True:
-                    top, from_wheel = self._next_entry()
-                    if top is None or top[2] is not None:
-                        break
-                    self._pop_top(from_wheel)
+                #    entries earlier than anything seen above.
+                top = self._next_entry()
                 if top is None:
                     if until is not None and until > self.now:
                         self.now = until
@@ -465,8 +398,6 @@ class Simulator:
                     if heap and heap[0][0] == now:
                         top = heappop(heap)
                         fn = top[2]
-                        if fn is None:
-                            continue
                         args = top[3]
                     else:
                         wtop = None
@@ -484,14 +415,10 @@ class Simulator:
                         heappop(slot)
                         self._wheel_count -= 1
                         fn = wtop[2]
-                        if fn is None:
-                            continue
                         args = wtop[3]
                 elif nq:
                     e = nq.popleft()
                     fn = e[2]
-                    if fn is None:
-                        continue
                     args = e[3]
                 else:
                     # Tick exhausted: advance.  Re-peek (inlined _next_entry)
@@ -554,8 +481,6 @@ class Simulator:
                     break
                 pop(heap)
                 fn = top[2]
-                if fn is None:
-                    continue
                 self.now = when
                 if log is not None:
                     log.append((when, _action_label(fn)))
@@ -589,8 +514,6 @@ class Simulator:
                     )
                 top = pop(heap)
                 fn = top[2]
-                if fn is None:
-                    continue
                 self.now = top[0]
                 if log is not None:
                     log.append((top[0], _action_label(fn)))
@@ -605,22 +528,11 @@ class Simulator:
         return ev.value
 
     def peek(self) -> Optional[int]:
-        """Time of the next scheduled action, or None if nothing is pending.
-
-        Pops tombstoned (cancelled) entries it meets, so the answer is the
-        next *live* action time.
-        """
-        for e in self._now_q:
-            if e[2] is not None:
-                return self.now
-        while True:
-            top, from_wheel = self._next_entry()
-            if top is None:
-                return None
-            if top[2] is None:
-                self._pop_top(from_wheel)
-                continue
-            return top[0]
+        """Time of the next scheduled action, or None if nothing is pending."""
+        if self._now_q:
+            return self.now
+        top = self._next_entry()
+        return None if top is None else top[0]
 
     def record_schedule(self) -> list[tuple[int, str]]:
         """Start logging every executed action as ``(time, label)``.

@@ -53,8 +53,13 @@ class TestCampaignDeterminism:
         r2 = run_campaign(spec, executor=SweepExecutor(cache=False))
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    @pytest.mark.racecheck
     def test_tier1_matrix_no_hangs_no_leaks(self):
-        report = run_campaign(_tier1_spec(), executor=SweepExecutor(cache=False))
+        """Hang-free and leak-free under FIFO and shuffled same-timestamp
+        ties.  Serial and uncached: a worker process would not inherit the
+        tie-break policy, and a cached cell would replay a FIFO result."""
+        report = run_campaign(_tier1_spec(),
+                              executor=SweepExecutor(cache=False, jobs=1))
         assert report["totals"]["hung"] == 0
         assert report["sanitizer_dirty_cells"] == []
         # Every message reached a terminal state, and the lossy plans

@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro.faults import run_soak, run_soak_suite, soak_suite
-from repro.faults.soak import report_json
 
 pytestmark = pytest.mark.soak
 
@@ -44,12 +43,16 @@ def test_ioat_flap_trips_and_reopens_breaker():
     assert report["health"]["breaker_open_channels"] == 0
 
 
+def _canonical(report: dict) -> str:
+    return json.dumps(report, sort_keys=True)
+
+
 def test_reports_are_byte_identical_per_seed():
     spec = soak_suite(seed="det", iters=3)[0]
-    a = report_json(run_soak(spec))
-    b = report_json(run_soak(spec))
+    a = _canonical(run_soak(spec))
+    b = _canonical(run_soak(spec))
     assert a == b
-    other = report_json(run_soak(soak_suite(seed="det2", iters=3)[0]))
+    other = _canonical(run_soak(soak_suite(seed="det2", iters=3)[0]))
     assert a != other
 
 

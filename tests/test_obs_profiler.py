@@ -9,9 +9,9 @@ from repro.obs.profiler import (
     TOLERANCE_POINTS,
     PhaseProfiler,
     fig9_report,
-    point_cpu_profile,
     render_fig9,
 )
+from repro.reporting.sweeps import point_stream_usage
 from repro.units import KiB, MiB
 from repro.workloads import run_stream_usage
 
@@ -113,7 +113,7 @@ class TestStreamProfile:
         assert u.total_pct > 0
 
     def test_point_cpu_profile_decomposes_bands(self):
-        r = point_cpu_profile(1 * MiB, 3, True, False, {})
+        r = point_stream_usage(1 * MiB, 3, True, False)
         assert r["total_pct"] > 0
         phases = r["phases_pct"]
         # offload path: fragment copies happen on the DMA engine, the CPU
@@ -124,7 +124,7 @@ class TestStreamProfile:
         assert sum(phases.values()) == pytest.approx(r["total_pct"], abs=0.5)
 
     def test_memcpy_profile_dominated_by_frag_copy(self):
-        r = point_cpu_profile(1 * MiB, 3, False, False, {})
+        r = point_stream_usage(1 * MiB, 3, False, False)
         phases = r["phases_pct"]
         assert phases["frag_copy"] == max(phases.values())
         assert "dma_submit" not in phases

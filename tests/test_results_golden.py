@@ -25,10 +25,10 @@ SRC = Path(repro.__file__).resolve().parent.parent
 
 #: committed report -> the command that writes it (to ./results/)
 COMMANDS = {
-    "faults_soak.json": ["repro.faults", "--soak"],
+    "faults_soak.json": ["repro.reporting.experiments", "faults_soak"],
     "fabric_sweep.json": ["repro.reporting.experiments", "fabric_sweep",
                           "--quick"],
-    "faults_campaign.json": ["repro.faults"],
+    "faults_campaign.json": ["repro.reporting.experiments", "faults_campaign"],
 }
 
 

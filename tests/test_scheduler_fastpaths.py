@@ -1,10 +1,10 @@
-"""Event-kernel fast paths: timer wheel, now-queue, and cancellation.
+"""Event-kernel fast paths: timer wheel and now-queue.
 
 The scheduler keeps three containers (now-queue, timer wheel, binary heap)
 that must be observationally identical to the single seq-keyed heap they
-replaced.  These tests pin the contract from the outside: cancellation
-semantics, far-horizon spill ordering, batched same-tick dispatch, and a
-hypothesis differential against the keyed (historical) drain loop.
+replaced.  These tests pin the contract from the outside: far-horizon
+spill ordering, batched same-tick dispatch, re-entry, and a hypothesis
+differential against the keyed (historical) drain loop.
 """
 
 import pytest
@@ -18,64 +18,6 @@ from repro.simkernel.tiebreak import FifoTieBreak
 #: one wheel rotation in ticks; anything scheduled at least this far ahead
 #: of ``now`` must spill to the binary heap
 HORIZON = _WHEEL_SLOTS << _WHEEL_SHIFT
-
-
-class TestTimerHandleCancellation:
-    def test_cancel_before_fire_suppresses_the_action(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(100, fired.append, "never")
-        sim.call_at(200, fired.append, "after")
-        handle.cancel()
-        sim.run()
-        assert fired == ["after"]
-        assert sim.now == 200
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(50, fired.append, 1)
-        handle.cancel()
-        handle.cancel()
-        assert handle.cancelled
-        sim.run()
-        assert fired == []
-
-    def test_cancelled_entries_are_not_counted_as_events(self):
-        sim = Simulator()
-        for _ in range(10):
-            sim.schedule(5, lambda: None).cancel()
-        live = sim.schedule(5, lambda: None)
-        sim.run()
-        assert not live.cancelled
-        assert sim.events_processed == 1
-
-    def test_cancel_far_horizon_timer(self):
-        """Cancellation works the same for heap-resident (far) entries."""
-        sim = Simulator()
-        fired = []
-        far = sim.schedule(2 * HORIZON, fired.append, "far")
-        assert far.when == 2 * HORIZON
-        sim.call_at(10, fired.append, "near")
-        far.cancel()
-        sim.run()
-        assert fired == ["near"]
-
-    def test_cancel_same_tick_entry(self):
-        """Now-queue entries (when == now) honour cancellation too."""
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(0, fired.append, "soon")
-        handle.cancel()
-        sim.call_soon(fired.append, "kept")
-        sim.run()
-        assert fired == ["kept"]
-
-    def test_peek_skips_tombstones(self):
-        sim = Simulator()
-        sim.schedule(7, lambda: None).cancel()
-        sim.schedule(9, lambda: None)
-        assert sim.peek() == 9
 
 
 class TestFarHorizonSpill:
@@ -239,26 +181,3 @@ def test_wheel_heap_nowq_identical_to_keyed_heap(program):
     fast = _run_program(Simulator(), program)
     keyed = _run_program(Simulator(tiebreak=FifoTieBreak()), program)
     assert fast == keyed
-
-
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(program=st.lists(_op, min_size=1, max_size=30),
-       cancel_every=st.integers(min_value=2, max_value=5))
-def test_cancellation_identical_to_keyed_heap(program, cancel_every):
-    """Tombstoned timers perturb neither order nor event counts, on both
-    kernels identically."""
-    def run(sim):
-        log = []
-        handles = []
-        for idx, (delay, _spawn) in enumerate(program):
-            if idx % cancel_every == 0:
-                handles.append(sim.schedule(sim.now + delay, log.append, idx))
-            else:
-                sim.call_at(sim.now + delay, log.append, idx)
-        for h in handles:
-            h.cancel()
-        sim.run()
-        return log, sim.now, sim.events_processed
-
-    assert run(Simulator()) == run(Simulator(tiebreak=FifoTieBreak()))
