@@ -33,8 +33,10 @@ from repro.faults.injectors import arm_plan
 from repro.faults.plan import QUICK_SIZES, FaultPlan, standard_plans
 from repro.units import ms, us
 
-#: per-cell simulated-time deadline: long enough for 8 retransmit rounds
-#: (dead-lettering takes MAX_RETRIES x 500 us) on every message, with slack
+#: simulated-time horizon of a campaign cell and of a soak run: long
+#: enough for 8 retransmit rounds (dead-lettering takes MAX_RETRIES x
+#: 500 us) on every message, with slack; runs end early once every
+#: transfer is terminal and the demand-armed daemons disarm
 CELL_DEADLINE = ms(60)
 
 #: per-cell event budget (runaway guard; a healthy cell uses far less)
@@ -228,15 +230,15 @@ TRACE_MAX_SPANS = 4096
 
 
 def drive(workload: str, size: int, plan: FaultPlan, iters: int,
-          deadline: int, max_events: int, trace: bool = False,
-          watch=None) -> tuple:
+          max_events: int, trace: bool = False, watch=None) -> tuple:
     """The body of a campaign cell and of a soak run; returns ``(tb, report)``.
 
     Builds a fresh testbed with the sanitizers attached, arms ``plan``,
     posts the workload, then calls ``watch(tb, transfers)`` if given (the
-    soak starts its checkpoint daemon there).  It runs to ``deadline``,
-    classifies every transfer and sanitizes.  The report holds what cells
-    and soaks share; each caller adds its own counters.  With
+    soak starts its checkpoint daemon there).  It runs to
+    :data:`CELL_DEADLINE` or ``max_events``, classifies every transfer and
+    sanitizes.  The report holds what cells and soaks share; each caller
+    adds its own counters.  With
     ``trace=True`` every host records a bounded span timeline and the
     report gains a ``trace_events`` document (Perfetto JSON, one process
     group per host): faults and retransmits show up as instant events.
@@ -260,7 +262,7 @@ def drive(workload: str, size: int, plan: FaultPlan, iters: int,
     if watch is not None:
         watch(tb, transfers)
 
-    tb.sim.run(until=deadline, max_events=max_events)
+    tb.sim.run(until=CELL_DEADLINE, max_events=max_events)
 
     outcomes = {"completed": 0, "failed": 0, "hung": 0}
     failures: dict[str, int] = {}
@@ -301,8 +303,7 @@ def run_cell(workload: str, size: int, plan: FaultPlan,
     (:func:`drive`'s, plus the stack and switch counters)."""
     from repro.core.counters import collect_counters
 
-    tb, report = drive(workload, size, plan, iters, CELL_DEADLINE,
-                       CELL_MAX_EVENTS, trace)
+    tb, report = drive(workload, size, plan, iters, CELL_MAX_EVENTS, trace)
     counters = sum_over_stacks(tb, collect_counters)
     if getattr(tb, "switch", None) is not None:
         counters["switch_dropped"] = tb.switch.dropped

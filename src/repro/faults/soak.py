@@ -43,10 +43,6 @@ from repro.faults.injectors import arm_plan
 from repro.faults.plan import FaultPlan, soak_plans
 from repro.units import KiB, ms, us
 
-#: simulated-time horizon per soak run; generous — runs end early once
-#: every transfer is terminal and the demand-armed daemons disarm
-SOAK_DEADLINE = ms(60)
-
 #: event budget (runaway guard, same role as the campaign's)
 SOAK_MAX_EVENTS = 60_000_000
 
@@ -164,8 +160,7 @@ def run_soak(spec: SoakSpec, trace: bool = False) -> dict:
 
     checkpoints: list[dict] = []
     tb, report = drive(
-        spec.workload, spec.size, spec.plan, spec.iters, SOAK_DEADLINE,
-        SOAK_MAX_EVENTS, trace,
+        spec.workload, spec.size, spec.plan, spec.iters, SOAK_MAX_EVENTS, trace,
         watch=lambda tb, transfers: _checkpoint_daemon(tb, spec, transfers,
                                                        checkpoints))
     report.update(
