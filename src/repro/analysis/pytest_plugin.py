@@ -83,28 +83,6 @@ def _race_quickcheck():
         )
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "sanitize: watch every Testbed built by this test with the runtime "
-        "resource sanitizers and fail on leaked skbuffs/cookies/pins",
-    )
-    config.addinivalue_line(
-        "markers",
-        "lint: static-analysis self-checks (tier-1: rule goldens + clean sweep)",
-    )
-    config.addinivalue_line(
-        "markers",
-        "faults: fault-injection campaign tests (repro.faults); "
-        "deselect with -m 'not faults'",
-    )
-    config.addinivalue_line(
-        "markers",
-        "racecheck: run this test under FIFO plus seeded-shuffle "
-        "same-timestamp tie-breaks; its assertions must hold under all",
-    )
-
-
 #: tie-break policies a ``racecheck``-marked test runs under
 _RACECHECK_POLICIES = ("fifo", "shuffle:1", "shuffle:2")
 

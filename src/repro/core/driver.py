@@ -26,7 +26,7 @@ from repro.core.errors import DeliveryFailed, PullAborted, RemoteAborted
 from repro.core.offload import OffloadManager
 from repro.core.pull import PullHandle, handles_for_peer
 from repro.core.reliability import RxSession, TxSession
-from repro.health.backpressure import BackoffPolicy, BusyGate
+from repro.health.backpressure import BusyGate
 from repro.health.liveness import PeerLivenessMonitor
 from repro.core.types import EvType, OmxEvent, OmxRequest
 from repro.ethernet.frame import ETHERTYPE_MX, EthernetFrame
@@ -93,15 +93,8 @@ class OmxDriver:
         self.sim.daemon(self._dead_daemon(), name=f"omx{host.host_id}-dead")
 
         # -- health supervision (repro.health, DESIGN.md §12) --
-        health_params = host.platform.health
-        self.liveness = PeerLivenessMonitor(self, health_params)
-        self.busy_gate = BusyGate(self.sim, health_params)
-        self._backoff_policy = BackoffPolicy(
-            base=health_params.backoff_base,
-            max_level=health_params.backoff_max_level,
-            max_delay=health_params.backoff_max_delay,
-            jitter=health_params.backoff_jitter,
-        )
+        self.liveness = PeerLivenessMonitor(self)
+        self.busy_gate = BusyGate(self.sim)
         #: peers declared dead awaiting kernel-timer-context teardown
         self._peer_death_queue: Store = Store(
             self.sim, name=f"omx{host.host_id}.peerdead")
@@ -189,7 +182,6 @@ class OmxDriver:
             sess = TxSession(
                 self.sim, peer, self._queue_resend, self.config.retransmit_timeout,
                 on_dead=self._on_dead_letter,
-                backoff=self._backoff_policy,
                 backoff_seed=f"backoff:{self.host.host_id}:{local_ep}:{peer}",
             )
             self._tx_sessions[key] = sess
@@ -712,8 +704,6 @@ class OmxDriver:
 
     def _signal_busy(self, ep: "OmxEndpoint", peer: EndpointAddr) -> None:
         """Queue an unsequenced BUSY to ``peer`` (rate-limited per peer)."""
-        if not self.busy_gate.params.backpressure_enabled:
-            return
         if not self.busy_gate.should_signal(peer):
             return
         self._ctl_queue.put(MxPacket(ptype=PktType.BUSY, src=ep.addr, dst=peer))

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.core.errors import DeliveryFailed
-from repro.health.backpressure import BackoffPolicy
+from repro.health.backpressure import BACKOFF_MAX_LEVEL, backoff_delay
 from repro.mx.wire import EndpointAddr, MxPacket
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,7 +60,6 @@ class TxSession:
     def __init__(self, sim: "Simulator", peer: EndpointAddr,
                  resend: Callable[[MxPacket], None], timeout: int,
                  on_dead: Optional[Callable[[MxPacket, DeliveryFailed], None]] = None,
-                 backoff: Optional[BackoffPolicy] = None,
                  backoff_seed: str = ""):
         self.sim = sim
         self.peer = peer
@@ -68,9 +67,8 @@ class TxSession:
         self.timeout = timeout
         #: driver hook fired once per dead-lettered packet (typed failure)
         self.on_dead = on_dead
-        #: exponential-backoff shape applied on receiver BUSY signals; the
-        #: jitter RNG is string-seeded so the curve is deterministic per seed
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
+        #: jitter RNG of the BUSY backoff curve (repro.health.backpressure);
+        #: string-seeded so the curve is deterministic per seed
         self._backoff_rng = random.Random(backoff_seed or f"backoff:{peer}")
         self.backoff_level = 0
         self._backoff_until = 0
@@ -114,8 +112,8 @@ class TxSession:
         fire before ``_backoff_until``, replacing the retransmission hammer
         with an exponentially spaced, seeded-jitter probe schedule.
         """
-        self.backoff_level = min(self.backoff_level + 1, self.backoff.max_level)
-        delay = self.backoff.delay(self.backoff_level, self._backoff_rng)
+        self.backoff_level = min(self.backoff_level + 1, BACKOFF_MAX_LEVEL)
+        delay = backoff_delay(self.backoff_level, self._backoff_rng)
         self._backoff_until = max(self._backoff_until, self.sim.now + delay)
         self.busy_backoffs += 1
 

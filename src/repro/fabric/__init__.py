@@ -22,6 +22,14 @@ The subsystem has three layers:
   shared precomputed cost tables (:mod:`repro.fabric.cost`) instead of
   per-host hardware object graphs.
 
+A world is a function of its spec and receive-copy backend alone:
+``launch_fabric_world(spec, backend=)`` builds its own simulator and
+metrics registry, prices chunks from the paper's testbed
+(:func:`~repro.params.clovertown_5000x`) in 16 KiB cells
+(:data:`~repro.fabric.cost.CELL`), and never drops a chunk for queueing
+delay — only an armed fault drops one.  The gray-failure tunables are
+module constants of :mod:`repro.fabric.resilience`.
+
 Small fabrics can also be compiled into the *full* hardware models
 (real :class:`~repro.cluster.host.Host`\\ s and multi-switch
 :class:`~repro.ethernet.switch.EthernetSwitch` forwarding) via
@@ -46,7 +54,6 @@ from repro.fabric.resilience import (
     FabricResilience,
     LinkHealth,
     resilient_allreduce,
-    trunk_health_snapshot,
 )
 from repro.fabric.sweep import chaos_campaign, run_fabric_collective
 
@@ -66,5 +73,4 @@ __all__ = [
     "launch_fabric_world",
     "resilient_allreduce",
     "run_fabric_collective",
-    "trunk_health_snapshot",
 ]

@@ -5,9 +5,9 @@ bus, skbuff pool, I/OAT channels, softirq engine...) costs real memory and
 construction time per host; at 1024 hosts that is the "per-host Python
 object blowup" ROADMAP item 1 forbids.  A :class:`CostTable` collapses the
 per-chunk costs those models would charge into a handful of scalars derived
-from the *same* :class:`~repro.params.Platform` numbers the full models
-read, and is shared by every host of a fabric (one table per
-(platform, backend) pair, memoized).
+from the *same* :func:`~repro.params.clovertown_5000x` numbers the full
+models read, and is shared by every host of a fabric (one table per
+backend, memoized).
 
 What each host pays per delivered chunk:
 
@@ -41,7 +41,7 @@ from repro.units import (
 #: chunk granularity of the fabric flow model: two pull blocks' worth of
 #: wire (16 KiB ~ 2 jumbo frames), coarse enough to keep 1024-host event
 #: counts tractable, fine enough to pipeline store-and-forward hops
-DEFAULT_CELL = 16 * KiB
+CELL = 16 * KiB
 
 BACKENDS = ("memcpy", "ioat")
 
@@ -51,7 +51,6 @@ class CostTable:
     """Per-chunk cost scalars shared by every host of a fabric."""
 
     backend: str
-    cell: int
     mtu: int
     #: sender CPU ticks: fixed per message / per frame
     send_base: int
@@ -96,11 +95,11 @@ class CostTable:
         return max(self.dma_base + transfer_time(nbytes, self.dma_bw), 1)
 
     def chunk_sizes(self, nbytes: int) -> list[int]:
-        """Split a message into cell-sized chunks (>= 1 chunk always)."""
-        if nbytes <= self.cell:
+        """Split a message into :data:`CELL`-sized chunks (>= 1 chunk)."""
+        if nbytes <= CELL:
             return [max(nbytes, 1)]
-        full, rem = divmod(nbytes, self.cell)
-        out = [self.cell] * full
+        full, rem = divmod(nbytes, CELL)
+        out = [CELL] * full
         if rem:
             out.append(rem)
         return out
@@ -121,11 +120,9 @@ def _contended_copy_bw(platform: Platform) -> float:
 
 
 @lru_cache(maxsize=None)
-def cost_table(platform: Platform = None, backend: str = "memcpy",
-               cell: int = DEFAULT_CELL) -> CostTable:
-    """The shared cost table for one (platform, backend) pair."""
-    if platform is None:
-        platform = clovertown_5000x()
+def cost_table(backend: str) -> CostTable:
+    """The shared cost table for one backend on the paper's testbed."""
+    platform = clovertown_5000x()
     if backend not in BACKENDS:
         raise ValueError(f"unknown fabric backend {backend!r}; "
                          f"expected one of {BACKENDS}")
@@ -136,7 +133,7 @@ def cost_table(platform: Platform = None, backend: str = "memcpy",
     if backend == "ioat":
         ioat = host.ioat
         return CostTable(
-            backend=backend, cell=cell, mtu=platform.nic.mtu,
+            backend=backend, mtu=platform.nic.mtu,
             send_base=send_base, send_per_frame=send_per_frame,
             rx_per_frame=host.bh_base_cost,
             rx_copy_bw=0.0,
@@ -145,7 +142,7 @@ def cost_table(platform: Platform = None, backend: str = "memcpy",
             dma_base=ioat.per_descriptor_cost,
         )
     return CostTable(
-        backend=backend, cell=cell, mtu=platform.nic.mtu,
+        backend=backend, mtu=platform.nic.mtu,
         send_base=send_base, send_per_frame=send_per_frame,
         rx_per_frame=host.bh_base_cost,
         rx_copy_bw=_contended_copy_bw(platform),

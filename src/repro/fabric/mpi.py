@@ -45,13 +45,9 @@ from typing import Callable, Generator, Optional
 import numpy as np
 
 from repro.core.errors import RankDead
-from repro.fabric.cost import DEFAULT_CELL
 from repro.fabric.network import FabricNetwork, _Message
 from repro.fabric.spec import TopologySpec
 from repro.mpi.comm import Rank
-from repro.obs.registry import MetricsRegistry
-from repro.params import Platform
-from repro.simkernel import Simulator
 from repro.simkernel.errors import Interrupted
 from repro.simkernel.event import AllOf, Event
 from repro.units import us
@@ -208,14 +204,8 @@ class FabricRank(Rank):
 class FabricWorld:
     """All ranks of one fabric plus the shared scaling machinery."""
 
-    def __init__(self, spec: TopologySpec, platform: Optional[Platform] = None,
-                 backend: str = "memcpy", cell: int = DEFAULT_CELL,
-                 sim: Optional[Simulator] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 egress_limit_cells: Optional[int] = None):
-        self.net = FabricNetwork(spec, platform, backend, cell, sim=sim,
-                                 metrics=metrics,
-                                 egress_limit_cells=egress_limit_cells)
+    def __init__(self, spec: TopologySpec, backend: str):
+        self.net = FabricNetwork(spec, backend)
         self.sim = self.net.sim
         self.cost = self.net.cost
         self.spec = spec
@@ -442,10 +432,7 @@ class FabricWorld:
                 f"fabric teardown: unconsumed messages for {leftover[:8]}")
 
 
-def launch_fabric_world(spec: TopologySpec, platform: Optional[Platform] = None,
-                        backend: str = "memcpy", cell: int = DEFAULT_CELL,
-                        sim: Optional[Simulator] = None,
-                        egress_limit_cells: Optional[int] = None) -> FabricWorld:
+def launch_fabric_world(spec: TopologySpec,
+                        backend: str = "memcpy") -> FabricWorld:
     """Build a world over ``spec``; one rank per host, lazily-built ports."""
-    return FabricWorld(spec, platform=platform, backend=backend, cell=cell,
-                       sim=sim, egress_limit_cells=egress_limit_cells)
+    return FabricWorld(spec, backend)

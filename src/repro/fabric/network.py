@@ -1,10 +1,11 @@
 """Chunk-level fabric simulator on the event kernel.
 
 A :class:`FabricNetwork` executes message flows over a
-:class:`~repro.fabric.spec.TopologySpec` at *chunk* granularity (default
-16 KiB cells) instead of per-frame: coarse enough that a 256-host allreduce
-is a few hundred thousand events, fine enough that store-and-forward hops,
-trunk contention and the receive-copy serializer pipeline all emerge.  The
+:class:`~repro.fabric.spec.TopologySpec` at *chunk* granularity (16 KiB
+cells, :data:`~repro.fabric.cost.CELL`) instead of per-frame: coarse
+enough that a 256-host allreduce is a few hundred thousand events, fine
+enough that store-and-forward hops, trunk contention and the receive-copy
+serializer pipeline all emerge.  The
 per-chunk costs come from a shared :class:`~repro.fabric.cost.CostTable`;
 no per-host hardware object graphs are built (ports are created lazily on
 first use).
@@ -38,11 +39,10 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.errors import DeliveryFailed, FabricPartitioned, RankDead
-from repro.fabric.cost import DEFAULT_CELL, CostTable, cost_table
+from repro.fabric.cost import CostTable, cost_table
 from repro.fabric.routing import RouteTables
 from repro.fabric.spec import LinkSpec, TopologySpec
 from repro.obs.registry import MetricsRegistry
-from repro.params import Platform, clovertown_5000x
 from repro.simkernel import Simulator
 from repro.units import transfer_time
 
@@ -116,15 +116,14 @@ class FabricPort:
     """
 
     __slots__ = ("net", "sim", "name", "owner", "service", "handler",
-                 "delay", "pending", "free_at", "alive", "limit_ns",
+                 "delay", "pending", "free_at", "alive",
                  "fault", "enqueued", "admitted", "dropped", "rerouted",
                  "peak_backlog_ns", "busy_ticks", "_arb_at",
                  "service_scale", "extra_delay")
 
     def __init__(self, net: "FabricNetwork", name: str, owner: Optional[str],
                  service: Callable[[_Chunk], int],
-                 handler: Callable[[_Chunk], None],
-                 delay: int, limit_ns: Optional[int] = None):
+                 handler: Callable[[_Chunk], None], delay: int):
         self.net = net
         self.sim = net.sim
         self.name = name
@@ -137,8 +136,6 @@ class FabricPort:
         self.pending: list[tuple[int, tuple, _Chunk]] = []
         self.free_at = 0
         self.alive = True
-        #: drop chunks whose queueing delay would exceed this (None = never)
-        self.limit_ns = limit_ns
         #: fault hook: ``fault(chunk, now) -> True`` drops the chunk
         self.fault: Optional[Callable[[_Chunk, int], bool]] = None
         self.enqueued = 0
@@ -198,10 +195,6 @@ class FabricPort:
                 wait = start - now
                 if wait > self.peak_backlog_ns:
                     self.peak_backlog_ns = wait
-                if self.limit_ns is not None and wait > self.limit_ns:
-                    self.dropped += 1
-                    self.net._drop(chunk, self.name)
-                    continue
                 if self.fault is not None and self.fault(chunk, now):
                     self.dropped += 1
                     self.net._chunk_lost(chunk, self)
@@ -250,19 +243,13 @@ class FabricPort:
 class FabricNetwork:
     """Message flows over one topology, with deterministic ECMP routing."""
 
-    def __init__(self, spec: TopologySpec, platform: Optional[Platform] = None,
-                 backend: str = "memcpy", cell: int = DEFAULT_CELL,
-                 sim: Optional[Simulator] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 egress_limit_cells: Optional[int] = None):
+    def __init__(self, spec: TopologySpec, backend: str):
         spec.validate()
         self.spec = spec
-        self.platform = platform if platform is not None else clovertown_5000x()
-        self.cost: CostTable = cost_table(self.platform, backend, cell)
-        self.sim = sim if sim is not None else Simulator()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.cost: CostTable = cost_table(backend)
+        self.sim = Simulator()
+        self.metrics = MetricsRegistry()
         self.routes = RouteTables(spec)
-        self.egress_limit_cells = egress_limit_cells
         hosts = set(spec.hosts)
         #: canonical (min,max) endpoint pair -> LinkSpec
         self._links: dict[tuple[str, str], LinkSpec] = {}
@@ -330,12 +317,6 @@ class FabricNetwork:
 
         return service
 
-    def _limit_ns(self, bw: float) -> Optional[int]:
-        if self.egress_limit_cells is None:
-            return None
-        cell_ticks = transfer_time(self.cost.wire_bytes(self.cost.cell), bw)
-        return self.egress_limit_cells * cell_ticks
-
     def host_tx_port(self, host: str) -> FabricPort:
         """The host NIC egress serializer (access link, or the pair wire)."""
         port = self._tx_ports.get(host)
@@ -345,7 +326,7 @@ class FabricNetwork:
             delay = link.latency + self._fwd_latency.get(peer, 0)
             port = FabricPort(self, f"{host}:tx", None,
                               self._wire_service(link.bw), self._forward,
-                              delay, self._limit_ns(link.bw))
+                              delay)
             port.register_metrics(self.metrics)
             self._tx_ports[host] = port
         return port
@@ -359,7 +340,7 @@ class FabricNetwork:
             delay = link.latency + self._fwd_latency.get(peer, 0)
             port = FabricPort(self, f"{switch}:{peer}", switch,
                               self._wire_service(link.bw), self._forward,
-                              delay, self._limit_ns(link.bw))
+                              delay)
             port.register_metrics(self.metrics)
             self._sw_ports[key] = port
         return port
@@ -554,9 +535,9 @@ class FabricNetwork:
     def _chunk_lost(self, chunk: _Chunk, port: FabricPort) -> None:
         """A fault hook ate a chunk at ``port``.
 
-        Without a resilience layer the loss is fatal — same as a queue
-        overflow, there is no retransmit layer to hide behind.  With one
-        attached, the chunk retries: host-owned ports re-serialize (the
+        Without a resilience layer the loss is fatal — there is no
+        retransmit layer to hide behind.  With one attached, the chunk
+        retries: host-owned ports re-serialize (the
         link-level retransmit model), switch ports restart the walk with a
         retry-salted ECMP draw so a gray link sheds load — up to
         :data:`MAX_CHUNK_RETRIES`, then the loss is fatal after all.  Each

@@ -311,14 +311,18 @@ def _recovery_tag(rank: "FabricRank", epoch: int) -> int:
             | ((seq & 0xFFF) << 12))
 
 
-def resilient_allreduce(rank: "FabricRank", sendbuf, recvbuf,
-                        length=None, max_shrinks: int = 2) -> Generator:
+#: rank deaths a shrink-and-retry allreduce survives before the error
+#: propagates (abort-and-report)
+MAX_SHRINKS = 2
+
+
+def resilient_allreduce(rank: "FabricRank", sendbuf, recvbuf) -> Generator:
     """Ring allreduce that shrinks over survivors on rank death.
 
     Runs the normal ring first; if a :class:`RankDead` surfaces, every
     survivor joins the recovery barrier (sleeps past the declaration
     wave, then the first waker advances the epoch and drains stale
-    traffic) and retries over the shrunk ring — up to ``max_shrinks``
+    traffic) and retries over the shrunk ring — up to :data:`MAX_SHRINKS`
     deaths, after which the error propagates (abort-and-report).
 
     Correctness needs only per-rank ordering, not simultaneity: a rank
@@ -328,13 +332,13 @@ def resilient_allreduce(rank: "FabricRank", sendbuf, recvbuf,
     after the declaration wave.
     """
     world = rank.world
-    n = (len(sendbuf) if length is None else length)
+    n = len(sendbuf)
     if not world.dead:
         try:
-            yield from rank.allreduce(sendbuf, recvbuf, length, algo="ring")
+            yield from rank.allreduce(sendbuf, recvbuf, algo="ring")
             return None
         except RankDead:
-            if max_shrinks < 1 or rank.rank in world.dead:
+            if rank.rank in world.dead:
                 raise
     # Already-shrunk world (a later round after a death): the full ring
     # would deadlock — ranks far from the dead one would post receives
@@ -342,7 +346,7 @@ def resilient_allreduce(rank: "FabricRank", sendbuf, recvbuf,
     # ring.  join_recovery is a no-op when the declaration is long past.
     from repro.mpi.collectives import REDUCE_BW, _allreduce_ring
 
-    for attempt in range(max_shrinks):
+    for attempt in range(MAX_SHRINKS):
         yield from world.join_recovery(rank)
         # Re-seed: partial accumulation from the failed epoch is garbage.
         if n:
@@ -358,39 +362,9 @@ def resilient_allreduce(rank: "FabricRank", sendbuf, recvbuf,
                                        members=world.survivors())
             return None
         except RankDead:
-            if attempt == max_shrinks - 1 or rank.rank in world.dead:
+            if attempt == MAX_SHRINKS - 1 or rank.rank in world.dead:
                 raise
     return None
-
-
-# ---------------------------------------------------------------------------
-# Full-hardware trunk health (EthernetSwitch path)
-# ---------------------------------------------------------------------------
-
-def trunk_health_snapshot(switches: dict) -> dict:
-    """Score the full-hardware switches' trunk egress ports.
-
-    The hardware path has no resilience control loop (its reliability
-    story is the per-packet retransmit stack); this is the observation
-    half only — campaigns snapshot it at teardown to report which trunks
-    went gray.  Keyed ``"<switch>:p<port>"``, values are
-    :class:`LinkHealth` names.
-    """
-    out = {}
-    for name in sorted(switches):
-        sw = switches[name]
-        for i, link in enumerate(sw.links):
-            if link is None or not link.name.startswith("trunk-"):
-                continue
-            fwd = sw.port_forwarded[i]
-            drp = sw.port_dropped[i]
-            total = fwd + drp
-            if total and drp / total >= DROP_THRESHOLD:
-                health = LinkHealth.DEGRADED
-            else:
-                health = LinkHealth.HEALTHY
-            out[f"{name}:p{i}"] = health.value
-    return out
 
 
 __all__ = [
@@ -399,5 +373,4 @@ __all__ = [
     "LinkHealth",
     "LinkHealthEstimator",
     "resilient_allreduce",
-    "trunk_health_snapshot",
 ]

@@ -10,8 +10,9 @@ Entry points:
 
 * :func:`run_fabric_collective` — build spec, launch a
   :class:`~repro.fabric.mpi.FabricWorld`, run the collective SPMD, report
-  (the ``"fabric"`` lazy point kind in :mod:`repro.reporting.sweeps`;
-  :func:`run_fabric_cell` is the ``"fabric_cell"`` kind);
+  (the ``"fabric"`` lazy point kind in :mod:`repro.reporting.sweeps`);
+* :func:`run_fabric_cell` — the same collective under an armed fault
+  plan, classified by outcome (the chaos campaign's cell; see below);
 * :func:`fabric_scenario` — the ``--races`` corpus entry: the same cell
   packaged as a zero-arg callable returning an
   :class:`~repro.analysis.races.Observation`, with a seeded trunk flap
@@ -35,7 +36,6 @@ import math
 from typing import Callable, Generator, Optional
 
 from repro.core.errors import TransferError
-from repro.fabric.cost import DEFAULT_CELL
 from repro.fabric.mpi import FabricRank, FabricWorld, launch_fabric_world
 from repro.fabric.spec import (
     TopologySpec,
@@ -143,15 +143,12 @@ def run_fabric_collective(topology: str = "fat_tree2", hosts: int = 64,
                           oversubscription: float = 1.0,
                           collective: str = "allreduce",
                           size: int = 64 * KiB, backend: str = "memcpy",
-                          algo: str = "auto", cell: int = DEFAULT_CELL,
-                          hosts_per_edge: int = 8,
-                          ecmp_seed: str = "fabric",
-                          egress_limit_cells: Optional[int] = None) -> dict:
+                          algo: str = "auto", hosts_per_edge: int = 8,
+                          ecmp_seed: str = "fabric") -> dict:
     """Run one fault-free fabric cell and report it as JSON-stable data."""
     spec = make_topology(topology, hosts, oversubscription, hosts_per_edge,
                          ecmp_seed)
-    world = launch_fabric_world(spec, backend=backend, cell=cell,
-                                egress_limit_cells=egress_limit_cells)
+    world = launch_fabric_world(spec, backend=backend)
     body = collective_body(collective, size, algo)
     world.run_spmd(body, max_events=CELL_MAX_EVENTS)
     world.finish()
@@ -199,7 +196,7 @@ def run_fabric_cell(topology: str = "fat_tree2", hosts: int = 16,
                     oversubscription: float = 1.0,
                     collective: str = "allreduce", size: int = 64 * KiB,
                     backend: str = "ioat", algo: str = "auto",
-                    cell: int = DEFAULT_CELL, hosts_per_edge: int = 4,
+                    hosts_per_edge: int = 4,
                     kill_at: int = us(50), plan: Optional[dict] = None,
                     recovery: str = "abort",
                     ecmp_seed: str = "fabric") -> dict:
@@ -233,7 +230,7 @@ def run_fabric_cell(topology: str = "fat_tree2", hosts: int = 16,
                          ecmp_seed)
     fplan = (FaultPlan.from_dict(plan) if plan is not None
              else spine_kill_plan(spec, kill_at))
-    world = launch_fabric_world(spec, backend=backend, cell=cell)
+    world = launch_fabric_world(spec, backend=backend)
     armed = arm_plan(world, fplan)
     if recovery == "shrink":
         if collective != "allreduce":
@@ -345,28 +342,26 @@ def chaos_plans(spec: TopologySpec, seed: str) -> list:
     ]
 
 
-def chaos_campaign(topologies=CHAOS_TOPOLOGIES, hosts: int = 8,
-                   oversubscription: float = 2.0,
-                   collective: str = "allreduce", size: int = 32 * KiB,
-                   backend: str = "memcpy", hosts_per_edge: int = 4,
-                   seed: str = "chaos") -> dict:
+def chaos_campaign() -> dict:
     """Run the chaos matrix over every topology; JSON-stable report.
 
-    The acceptance bar: two runs with the same seed are byte-identical,
-    and the outcome set covers every class the resilience layer defines —
-    ``rerouted``, ``degraded-completed``, ``shrunk-completed``, and the
-    typed ``failed:RankDead`` / ``failed:FabricPartitioned``.
+    Each cell is a 32 KiB memcpy allreduce on an 8-host, 2:1 build of the
+    topology (4 hosts per edge), seeded ``"chaos"``.  The acceptance bar:
+    two runs are byte-identical, and the outcome set covers every class
+    the resilience layer defines — ``rerouted``, ``degraded-completed``,
+    ``shrunk-completed``, and the typed ``failed:RankDead`` /
+    ``failed:FabricPartitioned``.
     """
+    seed = "chaos"
+    shape = dict(hosts=8, oversubscription=2.0, hosts_per_edge=4)
     cells = []
-    for topology in topologies:
-        spec = make_topology(topology, hosts, oversubscription,
-                             hosts_per_edge, ecmp_seed=seed)
+    for topology in CHAOS_TOPOLOGIES:
+        spec = make_topology(topology, **shape, ecmp_seed=seed)
         for axis, plan, recovery in chaos_plans(spec, seed):
             cell = run_fabric_cell(
-                topology=topology, hosts=hosts,
-                oversubscription=oversubscription, collective=collective,
-                size=size, backend=backend, hosts_per_edge=hosts_per_edge,
-                plan=plan.to_dict(), recovery=recovery, ecmp_seed=seed)
+                topology=topology, **shape, size=32 * KiB,
+                backend="memcpy", plan=plan.to_dict(), recovery=recovery,
+                ecmp_seed=seed)
             cell["axis"] = axis
             cells.append(cell)
     return {
@@ -385,7 +380,7 @@ def run_imb_fabric(topology: str = "fat_tree2", hosts: int = 16,
                    oversubscription: float = 1.0, test: str = "Allreduce",
                    size: int = 16 * KiB, iterations: int = 4,
                    warmup: int = 1, backend: str = "memcpy",
-                   cell: int = DEFAULT_CELL, hosts_per_edge: int = 4,
+                   hosts_per_edge: int = 4,
                    ecmp_seed: str = "fabric") -> dict:
     """One IMB test over a fabric world (the ``"imb_fabric"`` lazy kind).
 
@@ -402,7 +397,7 @@ def run_imb_fabric(topology: str = "fat_tree2", hosts: int = 16,
                          "(no variable-block allgather)")
     spec = make_topology(topology, hosts, oversubscription, hosts_per_edge,
                          ecmp_seed)
-    world = launch_fabric_world(spec, backend=backend, cell=cell)
+    world = launch_fabric_world(spec, backend=backend)
     res = run_imb(world, world, test, size, iterations=iterations,
                   warmup=warmup, max_events=CELL_MAX_EVENTS)
     world.finish()
@@ -426,16 +421,14 @@ def run_imb_fabric(topology: str = "fat_tree2", hosts: int = 16,
 # ---------------------------------------------------------------------------
 
 
-def fabric_scenario(hosts: int = 8, size: int = 8 * KiB,
-                    backend: str = "ioat", collective: str = "allreduce",
-                    oversubscription: float = 2.0,
-                    algo: str = "auto", flap: bool = True) -> Callable:
-    """A race-detector scenario: one collective on a small 2-tier fat tree.
+def fabric_scenario(hosts: int = 8, size: int = 8 * KiB) -> Callable:
+    """A race-detector scenario: one I/OAT allreduce on a small 2:1 2-tier
+    fat tree.
 
-    With ``flap`` (the default) a seeded flap schedule is armed on the
-    first trunk, so the detector sweeps the whole resilience path — health
-    sampling, hysteretic demotion, suppressed flaps, rerouted chunks —
-    under tie-break shuffles, not just the clean data plane.
+    A seeded flap schedule is armed on the first trunk, so the detector
+    sweeps the whole resilience path — health sampling, hysteretic
+    demotion, suppressed flaps, rerouted chunks — under tie-break
+    shuffles, not just the clean data plane.
 
     The fabric has no per-host trace recorders; the observation is the
     network's full metric snapshot (every port's counters plus the
@@ -443,35 +436,32 @@ def fabric_scenario(hosts: int = 8, size: int = 8 * KiB,
     outcome string — everything the sweep reports are built from.
     """
     from repro.analysis.races import Observation
+    from repro.faults.injectors import arm_plan
+    from repro.faults.plan import FabricFlapSpec, FaultPlan
 
     def scenario() -> Observation:
-        spec = make_topology("fat_tree2", hosts, oversubscription,
+        spec = make_topology("fat_tree2", hosts, 2.0,
                              hosts_per_edge=max(2, hosts // 2),
                              ecmp_seed="races")
-        world = launch_fabric_world(spec, backend=backend)
-        if flap:
-            from repro.faults.injectors import arm_plan
-            from repro.faults.plan import FabricFlapSpec, FaultPlan
-
-            trunk = sorted(l.name for l in spec.trunk_links())[0]
-            arm_plan(world, FaultPlan(
-                name="races-flap", seed="races",
-                flap=(FabricFlapSpec(link=trunk, at=us(20), period=us(120),
-                                     duty=0.5, cycles=3),)))
+        world = launch_fabric_world(spec, backend="ioat")
+        trunk = sorted(l.name for l in spec.trunk_links())[0]
+        arm_plan(world, FaultPlan(
+            name="races-flap", seed="races",
+            flap=(FabricFlapSpec(link=trunk, at=us(20), period=us(120),
+                                 duty=0.5, cycles=3),)))
         schedule = world.sim.record_schedule()
-        body = collective_body(collective, size, algo)
+        body = collective_body("allreduce", size)
         world.run_spmd(body, max_events=CELL_MAX_EVENTS)
         world.finish()
-        res = world.net.resilience
-        outcomes = {"cell": "completed",
-                    "cpu": ",".join(f"{k}={world.cpu[k]}"
-                                    for k in sorted(world.cpu))}
-        if res is not None:
-            snap = res.snapshot()
-            outcomes["resilience"] = ",".join(
+        snap = world.net.resilience.snapshot()
+        outcomes = {
+            "cell": "completed",
+            "cpu": ",".join(f"{k}={world.cpu[k]}" for k in sorted(world.cpu)),
+            "resilience": ",".join(
                 f"{k}={snap[k]}" for k in ("reroutes", "demotions",
                                            "restorations", "flaps_suppressed",
-                                           "route_version"))
+                                           "route_version")),
+        }
         return Observation(
             counters={"fabric": world.net.metrics.snapshot()},
             digests={},

@@ -9,18 +9,24 @@ sustained failure, degrade deterministically, and recover (DESIGN.md §12).
 * :mod:`repro.health.liveness` — keepalive/deadline tracking per remote
   endpoint; sustained silence surfaces a typed ``PeerDead``.
 * :mod:`repro.health.backpressure` — receiver busy-signal gating and the
-  seeded exponential backoff policy senders apply to it.
+  seeded exponential backoff senders apply to it.
+
+Supervision is always on.  Its thresholds and timers are module constants
+beside the code that reads them (``BREAKER_*`` in ``breaker``,
+``KEEPALIVE_INTERVAL``/``PEER_DEAD_TIMEOUT`` in ``liveness``, the
+watermarks and ``BACKOFF_*`` in ``backpressure``), sized so a healthy run
+never pays for them.
 """
 
-from repro.health.backpressure import BackoffPolicy, BusyGate
+from repro.health.backpressure import BusyGate, backoff_delay
 from repro.health.breaker import BreakerState, ChannelBreaker, HostHealth
 from repro.health.liveness import PeerLivenessMonitor
 
 __all__ = [
-    "BackoffPolicy",
     "BreakerState",
     "BusyGate",
     "ChannelBreaker",
     "HostHealth",
     "PeerLivenessMonitor",
+    "backoff_delay",
 ]

@@ -3,9 +3,10 @@
 The offload path of PR 3 reacts to channel failure one copy at a time:
 every failed descriptor is healed by a fallback memcpy and the next message
 happily picks the same dead channel again.  The breaker adds memory — after
-``breaker_threshold`` aborted/stalled descriptors within ``breaker_window``
-the channel trips to OPEN and :meth:`~repro.core.offload.OffloadManager.
-should_offload` refuses it (memcpy-only, the paper's non-offload path).
+:data:`BREAKER_THRESHOLD` aborted/stalled descriptors within
+:data:`BREAKER_WINDOW` the channel trips to OPEN and
+:meth:`~repro.core.offload.OffloadManager.should_offload` refuses it
+(memcpy-only, the paper's non-offload path).
 While OPEN, a half-open *probe copy* — one tiny real descriptor — is
 submitted periodically; a completed probe re-opens the channel for offload,
 a failed one keeps it tripped.
@@ -33,11 +34,23 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from repro.ioat.descriptor import CopyDescriptor
+from repro.units import us
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
     from repro.ioat.channel import DmaChannel
-    from repro.params import HealthParams
+
+#: descriptor failures/stalls within :data:`BREAKER_WINDOW` that trip a
+#: channel from CLOSED to OPEN (memcpy-only)
+BREAKER_THRESHOLD = 3
+#: sliding window over which failures are counted
+BREAKER_WINDOW = us(100)
+#: delay from trip (or refused offload while OPEN) to the next probe copy
+BREAKER_PROBE_INTERVAL = us(250)
+#: probe copy length; tiny, so a probe costs one descriptor
+BREAKER_PROBE_BYTES = 256
+#: extra wait beyond the modeled probe service time before checking it
+BREAKER_PROBE_SLACK = us(5)
 
 
 class BreakerState(Enum):
@@ -54,17 +67,16 @@ class ChannelBreaker:
     consults :meth:`allows_offload` before picking the channel.
     """
 
-    def __init__(self, sim, channel: "DmaChannel", params: "HealthParams",
-                 probe_src, probe_dst, trace=None):
+    def __init__(self, sim, channel: "DmaChannel", probe_src, probe_dst,
+                 trace=None):
         self.sim = sim
         self.channel = channel
-        self.params = params
         self.trace = trace
         #: shared host-kernel scratch regions backing the probe copies
         self._probe_src = probe_src
         self._probe_dst = probe_dst
         self.state = BreakerState.CLOSED
-        #: timestamps of recent failures (pruned to ``breaker_window``)
+        #: timestamps of recent failures (pruned to :data:`BREAKER_WINDOW`)
         self._failures: deque[int] = deque()
         self._probe_armed = False
         self._probe_cookie = -1
@@ -84,17 +96,14 @@ class ChannelBreaker:
         self._record_failure()
 
     def _record_failure(self) -> None:
-        if not self.params.breaker_enabled:
-            return
         now = self.sim.now
         self.failures_recorded += 1
-        window = self.params.breaker_window
         fails = self._failures
         fails.append(now)
-        while fails and now - fails[0] > window:
+        while fails and now - fails[0] > BREAKER_WINDOW:
             fails.popleft()
         if (self.state is BreakerState.CLOSED
-                and len(fails) >= self.params.breaker_threshold):
+                and len(fails) >= BREAKER_THRESHOLD):
             self._trip()
 
     # -- offload-side queries ------------------------------------------
@@ -123,8 +132,7 @@ class ChannelBreaker:
         if self._probe_armed or self.state is BreakerState.HALF_OPEN:
             return
         self._probe_armed = True
-        self.sim.call_at(self.sim.now + self.params.breaker_probe_interval,
-                         self._probe)
+        self.sim.call_at(self.sim.now + BREAKER_PROBE_INTERVAL, self._probe)
 
     def _probe(self) -> None:
         self._probe_armed = False
@@ -139,7 +147,7 @@ class ChannelBreaker:
             # failed now and test again later.
             self._probe_failed("stalled")
             return
-        n = self.params.breaker_probe_bytes
+        n = BREAKER_PROBE_BYTES
         self._probe_cookie = ch.submit(CopyDescriptor(
             self._probe_src, 0, self._probe_dst, 0, n))
         # Immediate status read: a hard-failed channel aborts the probe
@@ -150,8 +158,7 @@ class ChannelBreaker:
             ch.reap()
             self._probe_failed("aborted")
             return
-        deadline = (self.sim.now + ch.service_time(n)
-                    + self.params.breaker_probe_slack)
+        deadline = self.sim.now + ch.service_time(n) + BREAKER_PROBE_SLACK
         self.sim.call_at(deadline, self._probe_check)
 
     def _probe_check(self) -> None:
@@ -184,12 +191,11 @@ class HostHealth:
 
     def __init__(self, host: "Host"):
         self.host = host
-        self.params = host.platform.health
-        n = self.params.breaker_probe_bytes
         # One pair of scratch regions shared by every breaker — including
         # lanes adopted later (adoption must not shift kernel addresses).
-        self._probe_src = host.kernel_space.alloc(n, fill=0xA5)
-        self._probe_dst = host.kernel_space.alloc(n)
+        self._probe_src = host.kernel_space.alloc(BREAKER_PROBE_BYTES,
+                                                  fill=0xA5)
+        self._probe_dst = host.kernel_space.alloc(BREAKER_PROBE_BYTES)
         self.breakers = []
         for channel in host.ioat_engine.channels:
             self.adopt(channel)
@@ -197,9 +203,8 @@ class HostHealth:
     def adopt(self, channel: "DmaChannel") -> ChannelBreaker:
         """Supervise ``channel`` — engine channels at construction, backend
         lanes (repro.core.backends) whenever they come up."""
-        breaker = ChannelBreaker(self.host.sim, channel, self.params,
-                                 self._probe_src, self._probe_dst,
-                                 trace=self.host.trace)
+        breaker = ChannelBreaker(self.host.sim, channel, self._probe_src,
+                                 self._probe_dst, trace=self.host.trace)
         channel.health = breaker
         self.breakers.append(breaker)
         return breaker

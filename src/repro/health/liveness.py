@@ -6,9 +6,9 @@ large send whose RNDV was acked: the sender then waits for a NOTIFY that a
 dead receiver will never produce, with pinned pages held forever.
 
 The monitor tracks, per remote endpoint we have pending work with, when we
-last heard *anything* from it.  After ``keepalive_interval`` of silence an
-unsequenced KEEPALIVE is sent (whose arrival forces the peer to re-ack);
-after ``peer_dead_timeout`` — chosen well beyond retransmit exhaustion
+last heard *anything* from it.  After :data:`KEEPALIVE_INTERVAL` of silence
+an unsequenced KEEPALIVE is sent (whose arrival forces the peer to re-ack);
+after :data:`PEER_DEAD_TIMEOUT` — chosen well beyond retransmit exhaustion
 (8 x 500 us) and the pull watchdog budget — the peer is declared dead: a
 typed :class:`~repro.core.errors.PeerDead` deterministically fails every
 pending request to it and releases their skbuffs/pins.
@@ -24,19 +24,25 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from repro.mx.wire import EndpointAddr, MxPacket, PktType
+from repro.units import ms
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.driver import OmxDriver
-    from repro.params import HealthParams
+
+#: silence beyond which a keepalive is sent to a peer we have pending work
+#: with; also the scan daemon's period
+KEEPALIVE_INTERVAL = ms(4)
+#: sustained silence after which the peer is declared dead (must exceed
+#: retransmit exhaustion: 8 retries x 500 us = 4 ms)
+PEER_DEAD_TIMEOUT = ms(20)
 
 
 class PeerLivenessMonitor:
     """Per-driver keepalive/deadline tracking of remote endpoints."""
 
-    def __init__(self, driver: "OmxDriver", params: "HealthParams"):
+    def __init__(self, driver: "OmxDriver"):
         self.driver = driver
         self.sim = driver.sim
-        self.params = params
         #: when we last heard anything from each remote endpoint
         self.last_heard: dict[EndpointAddr, int] = {}
         #: when the current interest episode in a peer began (silence is
@@ -60,7 +66,7 @@ class PeerLivenessMonitor:
 
     def ensure_armed(self) -> None:
         """Start the scan daemon if pending work exists and it is idle."""
-        if not self.params.liveness_enabled or self._armed:
+        if self._armed:
             return
         self._armed = True
         self.sim.daemon(self._scan_loop(),
@@ -92,9 +98,8 @@ class PeerLivenessMonitor:
         return peers
 
     def _scan_loop(self) -> Generator:
-        interval = self.params.keepalive_interval
         while True:
-            yield interval  # bare-int sleep
+            yield KEEPALIVE_INTERVAL  # bare-int sleep
             peers = self._pending_peers()
             if not peers:
                 # Disarm: no pending work means nothing to supervise; the
@@ -111,9 +116,9 @@ class PeerLivenessMonitor:
                 if ref is None or ref < base:
                     ref = base
                 silence = now - ref
-                if silence >= self.params.peer_dead_timeout:
+                if silence >= PEER_DEAD_TIMEOUT:
                     self._declare_dead(peer, silence)
-                elif silence >= interval:
+                elif silence >= KEEPALIVE_INTERVAL:
                     self._send_keepalive(peer, peers[peer])
 
     def _send_keepalive(self, peer: EndpointAddr, local_ep: int) -> None:

@@ -238,7 +238,6 @@ class OmxConfig:
     max_pending_skbuffs: int = 64
 
     # -- shared-memory intra-node path (§III-C, Fig. 10) --
-    shm_enabled: bool = True
     #: one-copy large threshold for local messages
     shm_large_threshold: int = 32 * KiB
     #: use I/OAT for local copies at or above this size when ioat_enabled
@@ -276,69 +275,6 @@ class OmxConfig:
 
 
 @dataclass(frozen=True)
-class HealthParams:
-    """Degradation/recovery supervision (repro.health, DESIGN.md §12).
-
-    Thresholds are sized so a *healthy* run never pays for them: breakers
-    only act after descriptor failures, keepalives only fire after sustained
-    silence well beyond the retransmit timeout, and backpressure watermarks
-    sit below resource exhaustion points that already drop traffic.
-    """
-
-    # -- per-channel I/OAT circuit breaker --
-    breaker_enabled: bool = True
-    #: descriptor failures/stalls within ``breaker_window`` that trip a
-    #: channel from CLOSED to OPEN (memcpy-only)
-    breaker_threshold: int = 3
-    #: sliding window over which failures are counted
-    breaker_window: int = us(100)
-    #: delay from trip (or failed probe) to the next half-open probe copy
-    breaker_probe_interval: int = us(250)
-    #: probe copy length; tiny, so a probe costs one descriptor
-    breaker_probe_bytes: int = 256
-    #: extra wait beyond the modeled probe service time before checking it
-    breaker_probe_slack: int = us(5)
-
-    # -- peer liveness --
-    liveness_enabled: bool = True
-    #: silence beyond which a keepalive is sent to a peer we have pending
-    #: work with; also the liveness daemon's scan period
-    keepalive_interval: int = units.ms(4)
-    #: sustained silence after which the peer is declared dead (must exceed
-    #: retransmit exhaustion: 8 retries x 500 us = 4 ms)
-    peer_dead_timeout: int = units.ms(20)
-
-    # -- receiver backpressure --
-    backpressure_enabled: bool = True
-    #: NACK-busy eager senders when free eager-ring slots drop to this level
-    ring_low_watermark: int = 2
-    #: NACK-busy rendezvous initiators beyond this many active pulls
-    max_active_pulls: int = 64
-    #: per-peer minimum interval between BUSY notifications
-    busy_min_interval: int = us(200)
-
-    # -- sender backoff (exponential, seeded jitter) --
-    backoff_base: int = us(200)
-    backoff_max_level: int = 6
-    backoff_max_delay: int = units.ms(8)
-    backoff_jitter: float = 0.25
-
-    def validate(self) -> None:
-        if self.breaker_threshold < 1 or self.breaker_window <= 0:
-            raise ValueError("breaker needs threshold >= 1 over a positive window")
-        if self.breaker_probe_bytes < 1 or self.breaker_probe_interval <= 0:
-            raise ValueError("breaker probe must copy >= 1 byte at a positive interval")
-        if self.peer_dead_timeout <= self.keepalive_interval:
-            raise ValueError("peer_dead_timeout must exceed keepalive_interval")
-        if self.ring_low_watermark < 0 or self.max_active_pulls < 1:
-            raise ValueError("backpressure watermarks out of range")
-        if self.backoff_base <= 0 or self.backoff_max_level < 1:
-            raise ValueError("backoff needs a positive base and >= 1 level")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError("backoff_jitter must be within [0, 1]")
-
-
-@dataclass(frozen=True)
 class Platform:
     """Bundle of all parameter blocks describing the testbed."""
 
@@ -346,15 +282,10 @@ class Platform:
     nic: NicParams = field(default_factory=NicParams)
     mx: MxParams = field(default_factory=MxParams)
     omx: OmxConfig = field(default_factory=OmxConfig)
-    health: HealthParams = field(default_factory=HealthParams)
 
     def with_omx(self, **overrides) -> "Platform":
         """Return a copy with Open-MX config fields overridden."""
         return replace(self, omx=replace(self.omx, **overrides))
-
-    def with_health(self, **overrides) -> "Platform":
-        """Return a copy with health supervision fields overridden."""
-        return replace(self, health=replace(self.health, **overrides))
 
 
 def clovertown_5000x(**omx_overrides) -> Platform:
@@ -367,5 +298,4 @@ def clovertown_5000x(**omx_overrides) -> Platform:
     if omx_overrides:
         plat = plat.with_omx(**omx_overrides)
     plat.omx.validate()
-    plat.health.validate()
     return plat

@@ -21,6 +21,7 @@ across runners; the default executor is configured from the environment.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Optional
 
@@ -560,7 +561,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(result.render())
         print()
         if args.csv:
-            path = args.csv if len(names) == 1 else f"{name}_{args.csv}"
+            # `all` prefixes the file name, never the directory part
+            head, tail = os.path.split(args.csv)
+            path = (args.csv if len(names) == 1
+                    else os.path.join(head, f"{name}_{tail}"))
             with open(path, "w") as fh:
                 fh.write(result.to_csv())
             print(f"[wrote {path}]")

@@ -206,7 +206,6 @@ LAZY_POINT_KINDS: dict[str, str] = {
     "fault_cell": "repro.faults.campaign:point_fault_cell",
     "vectored": "repro.workloads.vectored:point_vectored",
     "fabric": "repro.fabric.sweep:run_fabric_collective",
-    "fabric_cell": "repro.fabric.sweep:run_fabric_cell",
     "imb_fabric": "repro.fabric.sweep:run_imb_fabric",
 }
 

@@ -38,6 +38,29 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_all_csv_prefixes_only_the_file_name(self, tmp_path, monkeypatch,
+                                                 capsys):
+        """``all --csv DIR/out.csv`` writes ``DIR/<name>_out.csv`` for each
+        experiment; the prefix never lands on the directory part."""
+        from repro.reporting import experiments
+        from repro.reporting.table import Table
+
+        def stub(name):
+            def run(quick=False, executor=None):
+                table = Table(name, ["x"])
+                table.add_row(1)
+                return table
+            return run
+
+        monkeypatch.setattr(experiments, "EXPERIMENTS",
+                            {"one": stub("one"), "two": stub("two")})
+        out = tmp_path / "nested" / "dir"
+        out.mkdir(parents=True)
+        assert main(["all", "--csv", str(out / "out.csv")]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "one_out.csv", "two_out.csv"]
+        assert (out / "two_out.csv").read_text().splitlines()[0] == "x"
+
 
 def _outcomes(hung: int) -> dict:
     return {"completed": 3 - hung, "failed": 0, "hung": hung}

@@ -44,7 +44,6 @@ from repro.fabric.resilience import (
     LinkHealth,
     LinkHealthEstimator,
     resilient_allreduce,
-    trunk_health_snapshot,
 )
 from repro.fabric.sweep import (
     chaos_campaign,
@@ -381,7 +380,7 @@ class TestFlapProperty:
 
 
 # ---------------------------------------------------------------------------
-# full-hardware trunks: gray frame hooks + health observation
+# full-hardware trunks: gray frame hooks
 # ---------------------------------------------------------------------------
 
 
@@ -411,9 +410,6 @@ class TestHardwareGray:
         out = self._sums(tb)
         expected = float(sum(range(1, 5)))
         assert all(np.all(v == expected) for v in out.values())
-        snap = trunk_health_snapshot(tb.switches)
-        assert snap  # every trunk egress port scored
-        assert set(snap.values()) <= {"healthy", "degraded"}
         # the retransmit stack absorbed the loss; the hooks really fired
         fired = sum(h.lossy_drops + h.delayed for h in armed.gray_hooks)
         assert fired > 0

@@ -7,7 +7,6 @@ a deterministic, seeded curve; a peer that goes silent while we hold state
 for it is declared dead with a typed error and every resource drains.
 """
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -15,13 +14,30 @@ import pytest
 from repro import build_testbed
 from repro.core.counters import collect_counters, collect_health
 from repro.core.errors import PeerDead, PullAborted
-from repro.core.reliability import TxSession
+from repro.core.reliability import MAX_RETRIES, TxSession
 from repro.ethernet.link import LossInjector
-from repro.health import BackoffPolicy, BreakerState, BusyGate, ChannelBreaker
+from repro.health import BreakerState, BusyGate, ChannelBreaker, backoff_delay
+from repro.health import backpressure
+from repro.health.backpressure import (
+    BACKOFF_BASE,
+    BACKOFF_JITTER,
+    BACKOFF_MAX_DELAY,
+    BACKOFF_MAX_LEVEL,
+    BUSY_MIN_INTERVAL,
+    MAX_ACTIVE_PULLS,
+    RING_LOW_WATERMARK,
+)
+from repro.health.breaker import (
+    BREAKER_PROBE_BYTES,
+    BREAKER_PROBE_INTERVAL,
+    BREAKER_THRESHOLD,
+    BREAKER_WINDOW,
+)
+from repro.health.liveness import KEEPALIVE_INTERVAL, PEER_DEAD_TIMEOUT
 from repro.ioat.channel import DmaChannel
 from repro.memory.buffers import AddressSpace
 from repro.mx.wire import EndpointAddr
-from repro.params import HealthParams, IoatParams, clovertown_5000x
+from repro.params import IoatParams, OmxConfig
 from repro.simkernel import Simulator
 from repro.units import KiB, ms, us
 
@@ -30,16 +46,15 @@ import random
 B = EndpointAddr(2, 0)
 
 
-def _breaker_rig(params: HealthParams = None):
+def _breaker_rig():
     """A bare simulator + one channel + its breaker (no host, no driver)."""
     sim = Simulator()
     ch = DmaChannel(sim, IoatParams())
     space = AddressSpace("rig")
-    hp = params or HealthParams()
     breaker = ChannelBreaker(
-        sim, ch, hp,
-        probe_src=space.alloc(hp.breaker_probe_bytes, fill=0xA5),
-        probe_dst=space.alloc(hp.breaker_probe_bytes),
+        sim, ch,
+        probe_src=space.alloc(BREAKER_PROBE_BYTES, fill=0xA5),
+        probe_dst=space.alloc(BREAKER_PROBE_BYTES),
     )
     ch.health = breaker
     return sim, ch, breaker, space
@@ -103,8 +118,7 @@ class TestBreakerStateMachine:
 
     def test_sparse_failures_age_out_of_window(self):
         sim, ch, breaker, _space = _breaker_rig()
-        hp = breaker.params
-        gap = hp.breaker_window + us(10)
+        gap = BREAKER_WINDOW + us(10)
         for k in range(5):
             sim.call_at(k * gap, lambda: breaker.on_stall(ch))
         sim.run()
@@ -112,42 +126,26 @@ class TestBreakerStateMachine:
         assert breaker.trips == 0
         assert breaker.state is BreakerState.CLOSED
 
-    def test_disabled_breaker_never_trips(self):
-        sim, ch, breaker, space = _breaker_rig(
-            replace(HealthParams(), breaker_enabled=False))
-        _submit_copies(ch, space, 4)
-        ch.fail()  # noqa: HLT001
-        assert breaker.state is BreakerState.CLOSED
-        assert breaker.allows_offload()
-
 
 class TestBusyGate:
     def test_ring_watermark(self):
-        gate = BusyGate(Simulator(), HealthParams())
-        wm = HealthParams().ring_low_watermark
+        gate = BusyGate(Simulator())
+        wm = RING_LOW_WATERMARK
         assert gate.ring_pressured(SimpleNamespace(free_slots=wm))
         assert gate.ring_pressured(SimpleNamespace(free_slots=0))
         assert not gate.ring_pressured(SimpleNamespace(free_slots=wm + 1))
 
     def test_pull_watermark(self):
-        hp = HealthParams()
-        gate = BusyGate(Simulator(), hp)
-        assert gate.pulls_pressured(hp.max_active_pulls)
-        assert not gate.pulls_pressured(hp.max_active_pulls - 1)
-
-    def test_disabled_backpressure(self):
-        gate = BusyGate(Simulator(), replace(HealthParams(),
-                                             backpressure_enabled=False))
-        assert not gate.ring_pressured(SimpleNamespace(free_slots=0))
-        assert not gate.pulls_pressured(10_000)
+        gate = BusyGate(Simulator())
+        assert gate.pulls_pressured(MAX_ACTIVE_PULLS)
+        assert not gate.pulls_pressured(MAX_ACTIVE_PULLS - 1)
 
     def test_per_peer_rate_limit(self):
         sim = Simulator()
-        hp = HealthParams()
-        gate = BusyGate(sim, hp)
+        gate = BusyGate(sim)
         assert gate.should_signal(B)
         assert not gate.should_signal(B)  # same instant: suppressed
-        sim.run(until=hp.busy_min_interval + 1)
+        sim.run(until=BUSY_MIN_INTERVAL + 1)
         assert gate.should_signal(B)
         assert gate.busy_signalled == 2
         assert gate.busy_suppressed == 1
@@ -155,16 +153,16 @@ class TestBusyGate:
 
 class TestBackoffDeterminism:
     def test_policy_curve_is_seeded(self):
-        policy = BackoffPolicy()
-        a = [policy.delay(lvl, random.Random("s1")) for lvl in range(1, 7)]
-        b = [policy.delay(lvl, random.Random("s1")) for lvl in range(1, 7)]
-        c = [policy.delay(lvl, random.Random("s2")) for lvl in range(1, 7)]
+        levels = range(1, BACKOFF_MAX_LEVEL + 1)
+        a = [backoff_delay(lvl, random.Random("s1")) for lvl in levels]
+        b = [backoff_delay(lvl, random.Random("s1")) for lvl in levels]
+        c = [backoff_delay(lvl, random.Random("s2")) for lvl in levels]
         assert a == b          # same seed: byte-identical curve
         assert a != c          # different seed: jitter desynchronises
         # The deterministic part still dominates: exponential then capped.
-        for lvl, d in zip(range(1, 7), a):
-            base = min(policy.base << (lvl - 1), policy.max_delay)
-            assert base <= d < base + int(base * policy.jitter) + 1
+        for lvl, d in zip(levels, a):
+            base = min(BACKOFF_BASE << (lvl - 1), BACKOFF_MAX_DELAY)
+            assert base <= d < base + int(base * BACKOFF_JITTER) + 1
 
     def _busy_trajectory(self, seed: str):
         sim = Simulator()
@@ -201,14 +199,34 @@ class TestBackoffDeterminism:
         assert tx.busy_backoffs == 1
 
 
+class TestTimingRelations:
+    def test_supervision_constants_keep_their_orderings(self):
+        """The orderings the supervision constants must keep: a peer is
+        declared dead only after keepalives had their chance and after
+        the retransmit ladder (MAX_RETRIES x retransmit_timeout = 4 ms)
+        is exhausted; jitter is a fraction; counts and spans are usable."""
+        assert PEER_DEAD_TIMEOUT > KEEPALIVE_INTERVAL
+        exhaustion = MAX_RETRIES * OmxConfig().retransmit_timeout
+        assert exhaustion == ms(4)
+        assert PEER_DEAD_TIMEOUT > exhaustion
+        assert 0.0 <= BACKOFF_JITTER <= 1.0
+        for value in (BREAKER_THRESHOLD, BREAKER_PROBE_BYTES,
+                      MAX_ACTIVE_PULLS, BACKOFF_MAX_LEVEL):
+            assert value >= 1
+        assert RING_LOW_WATERMARK >= 0
+        for span in (BREAKER_WINDOW, BREAKER_PROBE_INTERVAL, BACKOFF_BASE,
+                     BUSY_MIN_INTERVAL):
+            assert span > 0
+
+
 class TestBackpressureEndToEnd:
-    def test_watermark_busy_makes_sender_back_off(self):
+    def test_watermark_busy_makes_sender_back_off(self, monkeypatch):
         """With the low watermark raised to the whole ring, every eager
         arrival signals BUSY — senders must register backoff episodes and
-        the stream must still complete."""
-        plat = clovertown_5000x(ioat_enabled=True).with_health(
-            ring_low_watermark=512)
-        tb = build_testbed(platform=plat)
+        the stream must still complete.  The gate reads the watermark at
+        call time, so patching the module constant reaches the driver."""
+        monkeypatch.setattr(backpressure, "RING_LOW_WATERMARK", 512)
+        tb = build_testbed(ioat_enabled=True)
         ep0, ep1 = tb.open_endpoint(0, 0), tb.open_endpoint(1, 0)
         c0, c1 = tb.user_core(0), tb.user_core(1)
         size = 16 * KiB
