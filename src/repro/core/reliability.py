@@ -60,7 +60,7 @@ class TxSession:
     def __init__(self, sim: "Simulator", peer: EndpointAddr,
                  resend: Callable[[MxPacket], None], timeout: int,
                  on_dead: Optional[Callable[[MxPacket, DeliveryFailed], None]] = None,
-                 backoff_seed: str = ""):
+                 *, backoff_seed: str):
         self.sim = sim
         self.peer = peer
         self.resend = resend
@@ -69,7 +69,7 @@ class TxSession:
         self.on_dead = on_dead
         #: jitter RNG of the BUSY backoff curve (repro.health.backpressure);
         #: string-seeded so the curve is deterministic per seed
-        self._backoff_rng = random.Random(backoff_seed or f"backoff:{peer}")
+        self._backoff_rng = random.Random(backoff_seed)
         self.backoff_level = 0
         self._backoff_until = 0
         self.busy_backoffs = 0

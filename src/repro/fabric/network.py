@@ -13,15 +13,18 @@ first use).
 Determinism under tie-break shuffles
 ------------------------------------
 Every queueing point is a :class:`FabricPort` using **one-tick arbitration
-batching**: chunks enqueued at tick *t* are admitted by an arbiter at
-*t + 1* that sorts the batch by ``(ready, flow-key)``.  Batch membership
-depends only on timestamps (every pending entry was enqueued exactly one
-tick before its arbiter runs) and the admission order is a canonical sort —
-never the dispatch order the tie-break policy permutes — so schedules,
-drops, ECMP reroutes and all counters are byte-identical under
-``--races``.  Serialization start times are ``max(port free time, ready)``
-with a >= 1-tick service, so completions land strictly after the arbiter
-and can never be scheduled in the past.
+batching**: chunks enqueued at tick *t* are admitted at *t + 1* by one
+network-level *settle*, which arbitrates every port dirtied at *t* in the
+order the ports were first dirtied; each port sorts its batch by
+``(ready, flow-key)``.  Batch membership depends only on timestamps (an
+entry enqueued at *t* belongs to the *t + 1* settle, even when it is
+enqueued before the settle due at *t* runs) and the admission order is a
+canonical sort — never the dispatch order the tie-break policy permutes —
+so schedules, drops, ECMP reroutes and all counters are byte-identical
+under ``--races``.  Arbitration costs one kernel event per busy tick,
+however many ports that tick dirtied.  Serialization start times are
+``max(port free time, ready)`` with a >= 1-tick service, so completions
+can never be scheduled in the past.
 
 Faults
 ------
@@ -56,7 +59,7 @@ class _Message:
 
     __slots__ = ("src", "dst", "tag", "nbytes", "seq", "key", "flow",
                  "path", "n_chunks", "rx_remaining", "tx_remaining",
-                 "error", "t_start", "t_done", "on_tx", "user")
+                 "error", "failed", "t_start", "t_done", "on_tx", "user")
 
     def __init__(self, src: str, dst: str, tag: int, nbytes: int, seq: int,
                  path: tuple, now: int):
@@ -73,6 +76,9 @@ class _Message:
         self.rx_remaining = 0
         self.tx_remaining = 0
         self.error: Optional[Exception] = None
+        #: ``error is not None``, kept as a plain slot for the per-chunk
+        #: checks; set only by :meth:`FabricNetwork._fail`
+        self.failed = False
         self.t_start = now
         self.t_done = -1
         #: fired once when the last chunk clears the source NIC (MPI local
@@ -80,10 +86,6 @@ class _Message:
         self.on_tx: Optional[Callable[[], None]] = None
         #: upper-layer payload (the MPI layer parks its request here)
         self.user: object = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
 
 
 class _Chunk:
@@ -107,22 +109,41 @@ class _Chunk:
         self.retries = 0
 
 
+class _ServiceTicks(dict):
+    """Chunk size -> serialization ticks (at least 1), computed on first use.
+
+    One memo per service rate, shared by every port serializing at that
+    rate: a fabric sees a handful of chunk sizes, so a memo holds a few
+    entries, and a memo per port would cost memory at 1024 hosts.
+    """
+
+    __slots__ = ("ticks_of",)
+
+    def __init__(self, ticks_of: Callable[[int], int]):
+        super().__init__()
+        self.ticks_of = ticks_of
+
+    def __missing__(self, size: int) -> int:
+        ticks = self[size] = max(self.ticks_of(size), 1)
+        return ticks
+
+
 class FabricPort:
     """One egress serializer (switch port, host NIC, or rx-copy stage).
 
-    ``service(chunk)`` gives the serialization ticks; ``handler(chunk)`` is
-    scheduled at ``finish + delay`` (next-hop arrival, including link
-    propagation and the far switch's forwarding latency).
+    ``service[chunk.size]`` gives the serialization ticks;
+    ``handler(chunk)`` is scheduled at ``finish + delay`` (next-hop arrival,
+    including link propagation and the far switch's forwarding latency).
     """
 
     __slots__ = ("net", "sim", "name", "owner", "service", "handler",
                  "delay", "pending", "free_at", "alive",
                  "fault", "enqueued", "admitted", "dropped", "rerouted",
-                 "peak_backlog_ns", "busy_ticks", "_arb_at",
+                 "peak_backlog_ns", "busy_ticks", "_settle_at",
                  "service_scale", "extra_delay")
 
     def __init__(self, net: "FabricNetwork", name: str, owner: Optional[str],
-                 service: Callable[[_Chunk], int],
+                 service: _ServiceTicks,
                  handler: Callable[[_Chunk], None], delay: int):
         self.net = net
         self.sim = net.sim
@@ -144,7 +165,8 @@ class FabricPort:
         self.rerouted = 0
         self.peak_backlog_ns = 0
         self.busy_ticks = 0
-        self._arb_at = -1
+        #: the tick of the settle this port is listed for (-1: never)
+        self._settle_at = -1
         #: gray-failure degrade state: service-time multiplier (1.0 when
         #: healthy) and extra per-hop propagation delay (0 when healthy)
         self.service_scale = 1.0
@@ -162,57 +184,75 @@ class FabricPort:
         now = self.sim.now
         self.enqueued += 1
         self.pending.append((now, chunk.key, chunk))
-        if self._arb_at <= now:
-            self._arb_at = now + 1
-            self.sim.call_at(self._arb_at, self._arbitrate)
+        if self._settle_at <= now:
+            # First entry for the next tick's settle.  Keyed by tick: while
+            # the settle due *now* is still queued, this port may sit in
+            # its list too, but this entry is the next settle's.
+            at = self._settle_at = now + 1
+            dirty = self.net._dirty
+            ports = dirty.get(at)
+            if ports is None:
+                dirty[at] = [self]
+                self.sim.call_at(at, self.net._settle)
+            else:
+                ports.append(self)
 
     # -- the one-tick arbiter ---------------------------------------------
 
     def _arbitrate(self) -> None:
+        """Admit every entry enqueued before this tick (called by the
+        network's settle).
+
+        Every entry enqueued at tick *t* lists this port for the *t + 1*
+        settle, so no entry outlives the settle after its enqueue tick.
+        """
         now = self.sim.now
-        # Entries enqueued *this* tick (after this arbiter was scheduled)
-        # belong to the next arbitration; membership is by timestamp only.
-        batch = [e for e in self.pending if e[0] < now]
-        rest = [e for e in self.pending if e[0] >= now]
-        batch.sort()
-        self.pending = rest
+        batch = self.pending
+        if batch[-1][0] < now:
+            # pending is in enqueue order: nothing arrived yet this tick
+            self.pending = []
+            if len(batch) > 1:
+                batch.sort()
+        else:
+            # Entries enqueued *this* tick (after this port was listed)
+            # belong to the next settle; membership is by timestamp only.
+            self.pending = [e for e in batch if e[0] >= now]
+            batch = [e for e in batch if e[0] < now]
+            batch.sort()
+        net = self.net
         if not self.alive:
             for _ready, _key, chunk in batch:
                 if not chunk.msg.failed:
                     self.rerouted += 1
-                    self.net._reroute(chunk, self.owner, self.name)
-        else:
-            call_at = self.sim.call_at
-            dead = self.net._dead_hosts
-            for ready, _key, chunk in batch:
-                msg = chunk.msg
-                if msg.failed:
-                    continue
-                if dead and (msg.src in dead or msg.dst in dead):
-                    self.net._crash_fail(msg, self.name)
-                    continue
-                start = self.free_at if self.free_at > ready else ready
-                wait = start - now
-                if wait > self.peak_backlog_ns:
-                    self.peak_backlog_ns = wait
-                if self.fault is not None and self.fault(chunk, now):
-                    self.dropped += 1
-                    self.net._chunk_lost(chunk, self)
-                    continue
-                ticks = self.service(chunk)
-                if ticks < 1:
-                    ticks = 1
-                if self.service_scale != 1.0:
-                    ticks = int(ticks * self.service_scale)
-                finish = start + ticks
-                self.free_at = finish
-                self.busy_ticks += ticks
-                self.admitted += 1
-                call_at(finish + self.delay + self.extra_delay,
-                        self.handler, chunk)
-        if rest and self._arb_at <= now:
-            self._arb_at = now + 1
-            self.sim.call_at(self._arb_at, self._arbitrate)
+                    net._reroute(chunk, self.owner, self.name)
+            return
+        call_at = self.sim.call_at
+        dead = net._dead_hosts
+        service = self.service
+        for ready, _key, chunk in batch:
+            msg = chunk.msg
+            if msg.failed:
+                continue
+            if dead and (msg.src in dead or msg.dst in dead):
+                net._crash_fail(msg, self.name)
+                continue
+            start = self.free_at if self.free_at > ready else ready
+            wait = start - now
+            if wait > self.peak_backlog_ns:
+                self.peak_backlog_ns = wait
+            if self.fault is not None and self.fault(chunk, now):
+                self.dropped += 1
+                net._chunk_lost(chunk, self)
+                continue
+            ticks = service[chunk.size]
+            if self.service_scale != 1.0:
+                ticks = int(ticks * self.service_scale)
+            finish = start + ticks
+            self.free_at = finish
+            self.busy_ticks += ticks
+            self.admitted += 1
+            call_at(finish + self.delay + self.extra_delay,
+                    self.handler, chunk)
 
     # -- observation -------------------------------------------------------
 
@@ -268,6 +308,14 @@ class FabricNetwork:
         self._sw_ports: dict[tuple[str, str], FabricPort] = {}
         self._rx_cpu_ports: dict[str, FabricPort] = {}
         self._rx_dma_ports: dict[str, FabricPort] = {}
+        #: service-tick memos: one per wire rate, one per receive stage
+        self._wire_ticks: dict[float, _ServiceTicks] = {}
+        self._rx_ticks = _ServiceTicks(self.cost.rx_cpu)
+        self._dma_ticks = _ServiceTicks(self.cost.rx_dma)
+        #: settle tick -> the ports it arbitrates, in first-dirtied order.
+        #: At most two ticks are open: the settle due now, and the next one,
+        #: which every enqueue made at ``now`` feeds.
+        self._dirty: dict[int, list[FabricPort]] = {}
         #: per-(src,dst) message sequence counters: owned by the sender's
         #: program order, so flow keys never depend on global dispatch order
         self._pair_seq: dict[tuple[str, str], int] = {}
@@ -307,15 +355,23 @@ class FabricNetwork:
     def _link(self, a: str, b: str) -> LinkSpec:
         return self._links[self._lkey(a, b)]
 
+    # -- the per-tick settle ----------------------------------------------
+
+    def _settle(self) -> None:
+        """Arbitrate every port dirtied in the previous tick, in the order
+        the ports were first dirtied."""
+        for port in self._dirty.pop(self.sim.now):
+            port._arbitrate()
+
     # -- lazy port construction -------------------------------------------
 
-    def _wire_service(self, bw: float) -> Callable[[_Chunk], int]:
-        wire_bytes = self.cost.wire_bytes
-
-        def service(chunk: _Chunk) -> int:
-            return transfer_time(wire_bytes(chunk.size), bw)
-
-        return service
+    def _wire_service(self, bw: float) -> _ServiceTicks:
+        memo = self._wire_ticks.get(bw)
+        if memo is None:
+            wire_bytes = self.cost.wire_bytes
+            memo = self._wire_ticks[bw] = _ServiceTicks(
+                lambda size: transfer_time(wire_bytes(size), bw))
+        return memo
 
     def host_tx_port(self, host: str) -> FabricPort:
         """The host NIC egress serializer (access link, or the pair wire)."""
@@ -349,11 +405,10 @@ class FabricNetwork:
         """The receiver's BH + copy (or submit/poll) CPU serializer."""
         port = self._rx_cpu_ports.get(host)
         if port is None:
-            cost = self.cost
-            handler = (self._after_rx_cpu if cost.dma_bw
+            handler = (self._after_rx_cpu if self.cost.dma_bw
                        else self._chunk_delivered)
-            port = FabricPort(self, f"{host}:rx", None,
-                              lambda c: cost.rx_cpu(c.size), handler, 0)
+            port = FabricPort(self, f"{host}:rx", None, self._rx_ticks,
+                              handler, 0)
             port.register_metrics(self.metrics)
             self._rx_cpu_ports[host] = port
         return port
@@ -362,9 +417,7 @@ class FabricNetwork:
         """The receiver's I/OAT engine serializer (offloaded copies)."""
         port = self._rx_dma_ports.get(host)
         if port is None:
-            cost = self.cost
-            port = FabricPort(self, f"{host}:dma", None,
-                              lambda c: cost.rx_dma(c.size),
+            port = FabricPort(self, f"{host}:dma", None, self._dma_ticks,
                               self._chunk_delivered, 0)
             port.register_metrics(self.metrics)
             self._rx_dma_ports[host] = port
@@ -454,7 +507,7 @@ class FabricNetwork:
     def _after_rx_cpu(self, chunk: _Chunk) -> None:
         if chunk.msg.failed:
             return
-        self.cpu_ticks["fabric_rx"] += self.cost.rx_cpu(chunk.size)
+        self.cpu_ticks["fabric_rx"] += self._rx_ticks[chunk.size]
         self.rx_dma_port(chunk.msg.dst).enqueue(chunk)
 
     def _chunk_delivered(self, chunk: _Chunk) -> None:
@@ -462,9 +515,9 @@ class FabricNetwork:
         if msg.failed:
             return
         if self.cost.dma_bw:
-            self.cpu_ticks["fabric_dma"] += self.cost.rx_dma(chunk.size)
+            self.cpu_ticks["fabric_dma"] += self._dma_ticks[chunk.size]
         else:
-            self.cpu_ticks["fabric_rx"] += self.cost.rx_cpu(chunk.size)
+            self.cpu_ticks["fabric_rx"] += self._rx_ticks[chunk.size]
         msg.rx_remaining -= 1
         if msg.rx_remaining == 0:
             msg.t_done = self.sim.now
@@ -519,6 +572,7 @@ class FabricNetwork:
         if msg.failed:
             return
         msg.error = error
+        msg.failed = True
         msg.t_done = self.sim.now
         self.msgs_failed += 1
         if self.on_complete is not None:
@@ -541,8 +595,8 @@ class FabricNetwork:
         link-level retransmit model), switch ports restart the walk with a
         retry-salted ECMP draw so a gray link sheds load — up to
         :data:`MAX_CHUNK_RETRIES`, then the loss is fatal after all.  Each
-        retry is a fresh arbiter event, so a 100%-lossy link burns its cap
-        in a bounded number of events and can never livelock.
+        retry waits for a later tick's settle, so a 100%-lossy link burns
+        its cap in a bounded number of events and can never livelock.
         """
         if self.resilience is None or chunk.retries >= MAX_CHUNK_RETRIES:
             self._drop(chunk, port.name)
@@ -576,11 +630,10 @@ class FabricNetwork:
         trunk = a not in self._is_host and b not in self._is_host
         if trunk:
             self.routes.kill_link(a, b)
+        # A dead port takes no new entries, and every queued one is already
+        # listed for the settle after its enqueue tick, which reroutes it.
         for port in self._ports_of_link(a, b):
             port.alive = False
-            if port.pending and port._arb_at <= self.sim.now:
-                port._arb_at = self.sim.now + 1
-                self.sim.call_at(port._arb_at, port._arbitrate)
 
     def revive_link(self, name: str, at: Optional[int] = None) -> None:
         self._now_or_at(at, self._revive_link_now, self.spec.link_named(name))
@@ -628,8 +681,8 @@ class FabricNetwork:
     def mark_host_dead(self, host: str, rank: int) -> None:
         """Crash-stop a host: every in-flight chunk touching it fails with
         :class:`RankDead` at its next port event, draining the queues
-        without ever livelocking (each pending chunk already has an
-        arbiter or handler event scheduled)."""
+        without ever livelocking (each pending chunk already has a
+        settle or handler event scheduled)."""
         self._dead_hosts.add(host)
         self._dead_rank_of[host] = rank
         self._death_at[host] = self.sim.now

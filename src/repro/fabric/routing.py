@@ -140,31 +140,30 @@ class RouteTables:
     # -- tables ------------------------------------------------------------
 
     def _bfs_table(self, dst_edge: str, avoid: set) -> dict[str, list[str]]:
-        """Reverse BFS from ``dst_edge`` over live links not in ``avoid``."""
-        dist: dict[str, int] = {dst_edge: 0}
+        """Reverse BFS from ``dst_edge`` over live links not in ``avoid``.
+
+        A switch's next hops are its live neighbours one level nearer, and
+        the pass that reaches it collects them: frontiers are walked in
+        sorted order, so every hop list comes out sorted.
+        """
+        adj = self._adj
+        live = self._live
+        table: dict[str, list[str]] = {dst_edge: []}
         frontier = [dst_edge]
         while frontier:
-            nxt = []
-            for sw in frontier:  # frontier built sorted; stays deterministic
-                for peer in self._adj[sw]:
-                    key = self._key(sw, peer)
-                    if not self._live[key] or key in avoid:
+            # switches first reached from this frontier -> their hops
+            level: dict[str, list[str]] = {}
+            for sw in frontier:
+                for peer in adj[sw]:
+                    key = (sw, peer) if sw < peer else (peer, sw)
+                    if not live[key] or key in avoid:
                         continue
-                    if peer not in dist:
-                        dist[peer] = dist[sw] + 1
-                        nxt.append(peer)
-            nxt.sort()
-            frontier = nxt
-        table = {}
-        for sw, d in dist.items():
-            if sw == dst_edge:
-                table[sw] = []
-                continue
-            hops = [peer for peer in self._adj[sw]
-                    if self._live[self._key(sw, peer)]
-                    and self._key(sw, peer) not in avoid
-                    and dist.get(peer, -1) == d - 1]
-            table[sw] = hops  # _adj is sorted, so hops is sorted
+                    hops = level.get(peer)
+                    if hops is not None:
+                        hops.append(sw)
+                    elif peer not in table:
+                        level[peer] = table[peer] = [sw]
+            frontier = sorted(level)
         return table
 
     def table_for(self, dst_edge: str) -> dict[str, list[str]]:

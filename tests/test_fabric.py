@@ -1,9 +1,13 @@
 """Tests for repro.fabric: topology invariants, deterministic routing,
 bit-identical collectives at scale, fault cells, and the wrapper factories."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.fabric import sweep
 from repro.fabric.routing import RouteTables, ecmp_pick
 from repro.fabric.spec import (
     TopologySpec,
@@ -222,6 +226,71 @@ class TestFabricFaults:
             FabricFaultSpec(link="a~b", action="kill", at=0),))
         with pytest.raises(ValueError):
             arm_plan(build_testbed(), plan)
+
+
+# ---------------------------------------------------------------------------
+# the settle ledger: batching arbitration per tick moves only event counts
+# ---------------------------------------------------------------------------
+
+#: cell -> (sweep runner, kwargs, ledger digest, events).  The digest covers
+#: simulated time, rank and fabric CPU ticks, the flow counters and every
+#: port's ``stats()``: how arbitration is batched into kernel events may
+#: change the event count, never these.  The event counts are pinned apart.
+SETTLE_LEDGER = {
+    "fat_tree3_128_ioat_allreduce": (
+        "run_fabric_collective",
+        dict(topology="fat_tree3", hosts=128, collective="allreduce",
+             size=64 * KiB, backend="ioat"),
+        "b5f3ecfe91feae5b", 30_866),
+    "fat_tree2_32_memcpy_alltoall": (
+        "run_fabric_collective",
+        dict(topology="fat_tree2", hosts=32, collective="alltoall",
+             size=4 * KiB, backend="memcpy"),
+        "b114a87a828c60ed", 9_793),
+    "fat_tree2_16_spine_kill": (
+        "run_fabric_cell", TestFabricFaults.REROUTE_KW,
+        "031f5cdb71a4de97", 6_382),
+}
+
+
+class TestSettleLedger:
+    """One settle per tick arbitrates every dirty port; no simulated time,
+    byte or port counter may move with it."""
+
+    @staticmethod
+    def _run(name, monkeypatch):
+        """Run one cell through its sweep runner; returns the ledger
+        digest and the event count of the world it built."""
+        runner, kw, _digest, _events = SETTLE_LEDGER[name]
+        worlds = []
+
+        def capture(spec, backend):
+            worlds.append(launch_fabric_world(spec, backend=backend))
+            return worlds[-1]
+
+        monkeypatch.setattr(sweep, "launch_fabric_world", capture)
+        getattr(sweep, runner)(**kw)
+        (world,) = worlds
+        net = world.net
+        ledger = {
+            "time_ns": world.sim.now,
+            "cpu_ticks": {"rank": dict(sorted(world.cpu.items())),
+                          "fabric": dict(sorted(net.cpu_ticks.items()))},
+            "net": sweep._net_stats(world),
+            "ports": {p.name: p.stats() for p in net.ports()},
+        }
+        blob = json.dumps(ledger, sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()[:16], world.sim.events_processed
+
+    @pytest.mark.parametrize("name", sorted(SETTLE_LEDGER))
+    def test_port_ledger_pinned(self, name, monkeypatch):
+        digest, _events = self._run(name, monkeypatch)
+        assert digest == SETTLE_LEDGER[name][2]
+
+    @pytest.mark.parametrize("name", sorted(SETTLE_LEDGER))
+    def test_event_count_pinned(self, name, monkeypatch):
+        _digest, events = self._run(name, monkeypatch)
+        assert events == SETTLE_LEDGER[name][3]
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,8 @@ class TestReackOnDuplicate:
 
     def test_session_counters_exposed(self):
         sim = Simulator()
-        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(50))
+        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(50),
+                       backoff_seed=f"backoff:{B}")
         tx.stamp(mkpkt())
         sim.run(until=us(120))
         c = tx.collect_counters()
@@ -109,7 +110,7 @@ class TestRetransmitTiming:
         sim = Simulator()
         times = []
         tx = TxSession(sim, B, resend=lambda p: times.append(sim.now),
-                       timeout=us(100))
+                       timeout=us(100), backoff_seed=f"backoff:{B}")
         sim.call_at(us(37), lambda: tx.stamp(mkpkt()))
         sim.run(until=us(600))
         assert times[0] == us(137)
@@ -120,7 +121,7 @@ class TestRetransmitTiming:
         times = []
         tx = TxSession(sim, B,
                        resend=lambda p: times.append((p.seqnum, sim.now)),
-                       timeout=us(100))
+                       timeout=us(100), backoff_seed=f"backoff:{B}")
         sim.call_at(us(0), lambda: tx.stamp(mkpkt()))
         sim.call_at(us(60), lambda: tx.stamp(mkpkt()))
         sim.run(until=us(199))

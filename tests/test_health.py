@@ -187,7 +187,8 @@ class TestBackoffDeterminism:
 
     def test_ack_resets_backoff(self):
         sim = Simulator()
-        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(500))
+        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(500),
+                       backoff_seed=f"backoff:{B}")
         from repro.mx.wire import MxPacket, PktType
 
         pkt = MxPacket(ptype=PktType.SMALL, src=B, dst=B)

@@ -21,14 +21,16 @@ def mkpkt(ptype=PktType.SMALL):
 class TestTxSession:
     def test_stamp_assigns_increasing_seqnums(self):
         sim = Simulator()
-        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(100))
+        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(100),
+                       backoff_seed=f"backoff:{B}")
         seqs = [tx.stamp(mkpkt()) for _ in range(4)]
         assert seqs == [0, 1, 2, 3]
         assert len(tx.pending) == 4
 
     def test_cumulative_ack_clears_prefix(self):
         sim = Simulator()
-        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(100))
+        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(100),
+                       backoff_seed=f"backoff:{B}")
         for _ in range(4):
             tx.stamp(mkpkt())
         tx.on_ack(2)
@@ -37,7 +39,8 @@ class TestTxSession:
     def test_retransmit_fires_until_acked(self):
         sim = Simulator()
         resent = []
-        tx = TxSession(sim, B, resend=resent.append, timeout=us(50))
+        tx = TxSession(sim, B, resend=resent.append, timeout=us(50),
+                       backoff_seed=f"backoff:{B}")
         pkt = mkpkt()
         tx.stamp(pkt)
         sim.run(until=us(120))
@@ -49,7 +52,8 @@ class TestTxSession:
 
     def test_gives_up_after_max_retries(self):
         sim = Simulator()
-        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(10))
+        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(10),
+                       backoff_seed=f"backoff:{B}")
         pkt = mkpkt()
         tx.stamp(pkt)
         sim.run(until=us(10) * (MAX_RETRIES + 5))
@@ -58,7 +62,8 @@ class TestTxSession:
 
     def test_watch_ack_fires_on_ack(self):
         sim = Simulator()
-        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(100))
+        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(100),
+                       backoff_seed=f"backoff:{B}")
         tx.stamp(mkpkt())
         fired = []
         tx.watch_ack(0, lambda: fired.append(sim.now))
@@ -68,7 +73,8 @@ class TestTxSession:
 
     def test_watch_ack_immediate_when_already_acked(self):
         sim = Simulator()
-        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(100))
+        tx = TxSession(sim, B, resend=lambda p: None, timeout=us(100),
+                       backoff_seed=f"backoff:{B}")
         tx.stamp(mkpkt())
         tx.on_ack(0)
         fired = []
