@@ -22,66 +22,15 @@ tie-break policies (FIFO plus seeded shuffles): every simulator the test
 builds picks the active policy up through
 ``Simulator.default_tiebreak_factory``, so a test that asserts exact
 counters under every policy has *demonstrated* its scenario is
-schedule-race free.  Session start also runs a 3-permutation race
-quick-check of the pingpong workload next to the lint sweep
-(``REPRO_SKIP_RACECHECK=1`` skips it).
+schedule-race free.
 """
 
 from __future__ import annotations
-
-import os
-from pathlib import Path
 
 import pytest
 
 #: drain bound at teardown; generously above any test scenario's event count
 _QUIESCE_MAX_EVENTS = 10_000_000
-
-
-def pytest_sessionstart(session):
-    """Tier-1 gate: sweep the shipped tree with repro-lint before any test.
-
-    A dirty tree aborts the session immediately — the simulator-aware rules
-    (SKB001, DMA001, SIM001, ...) catch resource-leak and determinism bugs
-    that individual tests may not exercise.  ``REPRO_SKIP_LINT=1`` skips the
-    sweep (e.g. while iterating on a known-dirty tree).
-    """
-    if os.environ.get("REPRO_SKIP_LINT"):
-        return
-    import repro
-    from repro.analysis.lint import lint_paths
-
-    findings, _n_files = lint_paths([Path(repro.__file__).resolve().parent])
-    if findings:
-        raise pytest.UsageError(
-            "repro-lint found problems in the shipped tree "
-            "(set REPRO_SKIP_LINT=1 to bypass):\n"
-            + "\n".join(f.format() for f in findings)
-        )
-    _race_quickcheck()
-
-
-def _race_quickcheck():
-    """Tier-1 gate: a 3-permutation race check of the pingpong workload.
-
-    The cheapest scenario in the standard corpus, no bisection — the point
-    is an early, loud abort when a schedule race slips into the tree, not a
-    diagnosis (run ``python -m repro.analysis --races`` for that).
-    ``REPRO_SKIP_RACECHECK=1`` skips it.
-    """
-    if os.environ.get("REPRO_SKIP_RACECHECK"):
-        return
-    from repro.analysis.races import check_workload
-
-    report = check_workload("pingpong", size=2048, iters=1,
-                            seeds=(1, 2, 3), bisect=False)
-    if not report.ok:
-        raise pytest.UsageError(
-            "schedule-race quick-check failed: pingpong diverges under "
-            "permuted same-timestamp tie-breaks (set REPRO_SKIP_RACECHECK=1 "
-            "to bypass):\n" + report.format()
-        )
-
 
 #: tie-break policies a ``racecheck``-marked test runs under
 _RACECHECK_POLICIES = ("fifo", "shuffle:1", "shuffle:2")

@@ -197,8 +197,8 @@ class RaceDetector:
     :class:`Observation`; every :class:`Simulator` it constructs picks up
     the detector's tie-break policy through
     ``Simulator.default_tiebreak_factory``.  ``bisect=False`` skips the
-    minimal-flip search (the sessionstart quick-check does, to stay cheap:
-    a divergence there aborts the suite either way).
+    minimal-flip search (``--no-bisect`` on the CLI), which keeps a sweep
+    cheap when only the verdict matters.
     """
 
     def __init__(self, scenario: Callable[[], Observation],

@@ -1,8 +1,8 @@
 """SKB001: skbuff allocated from a pool but never freed or handed off.
 
 Every skbuff from :meth:`SkbuffPool.alloc_rx`/:meth:`alloc_tx` must reach
-exactly one of: ``skb.free()``, a call that takes ownership (``nic.xmit``,
-``pending.append``-style hand-off via an argument), a return/yield, or a
+exactly one of: ``skb.free()``, a call that takes ownership (a hand-off
+via an argument, such as ``pending.append(skb)``), a return/yield, or a
 store into longer-lived state.  The deferred-release discipline of §III-B
 makes these hand-offs easy to drop on error paths — the exact bug this rule
 exists for.

@@ -11,7 +11,6 @@ on other cores via :meth:`Host.user_core`.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 from repro.ethernet.driver import SoftirqEngine
@@ -34,17 +33,18 @@ from repro.simkernel.tracing import TraceRecorder
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.scheduler import Simulator
 
-_HOST_IDS = itertools.count(1)
-
 
 class Host:
     """A simulated node of the testbed."""
 
-    def __init__(self, sim: "Simulator", platform: Platform, name: str = "", host_id: int = 0):
+    def __init__(self, sim: "Simulator", platform: Platform, name: str = "",
+                 host_id: int = 1):
         self.sim = sim
         self.platform = platform
         self.params = platform.host
-        self.host_id = host_id if host_id else next(_HOST_IDS)
+        #: the NIC's MAC and the host part of every endpoint address; the
+        #: testbed factories number a testbed's hosts 1..N in spec order
+        self.host_id = host_id
         self.name = name or f"node{self.host_id}"
 
         hp = self.params

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.ioat.api import DmaCookie, IoatDmaApi
 from repro.ioat.channel import DmaChannel
-from repro.memory.layout import count_page_aligned_chunks
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
@@ -201,24 +200,6 @@ class CopyBackend:
         """Smallest fragment worth offloading (§IV-A: ~1 kB for I/OAT)."""
         return config.ioat_min_frag
 
-    # -- cost model -----------------------------------------------------
-
-    def fragment_cost(self, src_addr: int, dst_addr: int,
-                      length: int) -> tuple[int, int]:
-        """Analytic ``(cpu_ns, engine_ns)`` for one fragment copy.
-
-        The submission-side CPU price plus the engine service time this
-        backend's parameters predict — the model behind the vectored
-        threshold ablation and the conformance suite's sanity checks.
-        """
-        params = self.api.params
-        n_chunks = count_page_aligned_chunks(src_addr, dst_addr, length)
-        cpu = n_chunks * params.submit_cost
-        ch = self.engine.channels[0]
-        engine = n_chunks * params.per_descriptor_cost
-        engine += ch.service_time(length) - params.per_descriptor_cost
-        return cpu, engine
-
     # -- execution (BH context) -----------------------------------------
 
     def submit_fragment(
@@ -261,12 +242,6 @@ class CopyBackend:
 
     # -- integration hooks ----------------------------------------------
 
-    def fault_channels(self) -> list[DmaChannel]:
-        """Lanes this backend owns privately (fault-injection surface);
-        engine-backed backends return [] — the host engine is already
-        reachable by node/channel specs."""
-        return []
-
     def register_metrics(self, reg) -> None:
         """Publish backend-owned counters (lane backends add theirs)."""
 
@@ -290,9 +265,6 @@ class LaneBackend(CopyBackend):
 
     def lane_params(self, host: "Host") -> "IoatParams":
         raise NotImplementedError
-
-    def fault_channels(self) -> list[DmaChannel]:
-        return list(self.lanes.channels)
 
     def register_metrics(self, reg) -> None:
         name = self.name

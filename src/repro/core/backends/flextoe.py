@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Generator
 from repro.core.backends.base import LaneBackend, LaneTicket, register_backend
 from repro.ioat.api import DmaCookie, descriptor_pieces, wait_ring_slot
 from repro.ioat.descriptor import CopyDescriptor
-from repro.memory.layout import count_page_aligned_chunks
 from repro.units import GiB, ns
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -133,15 +132,3 @@ class FlexToeBackend(LaneBackend):
     def reap_state(self, state: "MessageOffloadState") -> None:
         for ch in self.lanes.channels:
             ch.reap()
-
-    def fragment_cost(self, src_addr: int, dst_addr: int,
-                      length: int) -> tuple[int, int]:
-        """CPU pays per chunk; chunks run in parallel across lanes."""
-        params = self.api.params
-        n_chunks = count_page_aligned_chunks(src_addr, dst_addr, length)
-        cpu = n_chunks * params.submit_cost
-        ch = self.lanes.channels[0]
-        per_lane = -(-n_chunks // len(self.lanes.channels))  # ceil
-        chunk = -(-length // n_chunks)
-        engine = per_lane * ch.service_time(chunk)
-        return cpu, engine

@@ -12,8 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.backends.base import CopyBackend, register_backend
-from repro.memory.layout import count_page_aligned_chunks
-from repro.units import SEC
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.cpu import Core
@@ -25,14 +23,6 @@ class MemcpyBackend(CopyBackend):
 
     name = "memcpy"
     offloads = False
-
-    def fragment_cost(self, src_addr: int, dst_addr: int,
-                      length: int) -> tuple[int, int]:
-        """All CPU, no engine: per-chunk setup plus the uncached move."""
-        mp = self.host.params.memcpy
-        n_chunks = count_page_aligned_chunks(src_addr, dst_addr, length)
-        move = int(round(length * SEC / mp.uncached_bw))
-        return n_chunks * mp.setup_cost + move, 0
 
     def submit_fragment(self, core: "Core", state, skb, skb_off, dst,
                         dst_off, length):

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Generator
 from repro.core.backends.base import LaneBackend, register_backend
 from repro.ioat.api import DmaCookie, descriptor_pieces, wait_ring_slot
 from repro.ioat.descriptor import CopyDescriptor
-from repro.memory.layout import count_page_aligned_chunks
 from repro.units import ns
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,16 +101,6 @@ class SgdmaBackend(LaneBackend):
         self.chains_submitted += 1
         self.elements_chained += n_chunks
         return DmaCookie(ch, last, length, n_chunks)
-
-    def fragment_cost(self, src_addr: int, dst_addr: int,
-                      length: int) -> tuple[int, int]:
-        params = self.api.params
-        n_chunks = count_page_aligned_chunks(src_addr, dst_addr, length)
-        cpu = CHAIN_SETUP_COST + n_chunks * ELEMENT_COST
-        ch = self.lanes.channels[0]
-        engine = ((n_chunks - 1) * params.per_descriptor_cost
-                  + ch.service_time(length))
-        return cpu, engine
 
     def register_metrics(self, reg) -> None:
         super().register_metrics(reg)

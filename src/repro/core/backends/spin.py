@@ -94,12 +94,6 @@ class SpinBackend(LaneBackend):
         #: fragments consumed by an in-NIC handler
         self.handler_invocations = 0
 
-    def fragment_cost(self, src_addr: int, dst_addr: int,
-                      length: int) -> tuple[int, int]:
-        """One post, one handler run — page layout is irrelevant."""
-        params = self.api.params
-        return params.submit_cost, self.lanes.channels[0].service_time(length)
-
     def register_metrics(self, reg) -> None:
         super().register_metrics(reg)
         reg.counter("backend", "backend_spin_handler_invocations",

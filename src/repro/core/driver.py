@@ -224,8 +224,9 @@ class OmxDriver:
         if tx_cost:
             yield tx_cost
         core.account(category, tx_cost, "tx")
-        # Nic.xmit inlined (one generator frame less per wire frame): the
-        # NIC's tx_frame_cost is the same platform parameter charged above.
+        # The NIC's transmit half, run in this frame (no generator per wire
+        # frame); its tx_frame_cost is the same platform parameter as above.
+        # The CPU is released at the doorbell, before serialization.
         nic = self._nic
         if nic._egress is None:
             raise RuntimeError("NIC has no link attached")

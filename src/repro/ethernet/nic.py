@@ -18,7 +18,7 @@ format — mirroring the real Myri-10G board's two personalities.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.ethernet.frame import EthernetFrame
 from repro.ethernet.skbuff import Skbuff, SkbuffPool
@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.ethernet.link import _Direction
     from repro.memory.bus import MemoryBus
     from repro.memory.cache import CacheDirectory
-    from repro.simkernel.cpu import Core
     from repro.simkernel.scheduler import Simulator
 
 
@@ -152,28 +151,7 @@ class Nic:
             skb.free()
             self.rx_dropped += 1
 
-    # -- transmit ----------------------------------------------------------
-
-    def xmit(self, core: "Core", skb: Skbuff, frame: EthernetFrame) -> Generator:
-        """Driver transmit path: charge CPU, hand to the link, free on TX done.
-
-        The caller must hold ``core`` (this runs in syscall or BH context).
-        Serialization happens asynchronously so the CPU is released after the
-        doorbell — like a real descriptor-ring NIC.  The async part is two
-        bare callbacks (descriptor fetch, then the link's TX-done), not a
-        generator process: this path runs once per wire frame.
-        """
-        if self._egress is None:
-            raise RuntimeError("NIC has no link attached")
-        tx_cost = self.params.tx_frame_cost
-        if tx_cost:
-            yield tx_cost
-        core.account("driver", tx_cost)
-        skb.frame = frame
-        sim = self.sim
-        sim._push(sim.now + self.params.per_frame_cost,
-                  self._doorbell, (frame, skb))
-        return None
+    # -- transmit (driven by ``OmxDriver._xmit_packet``) -------------------
 
     def _doorbell(self, frame: EthernetFrame, skb: Skbuff) -> None:
         """Descriptor fetch done: hand the frame to the link serializer."""

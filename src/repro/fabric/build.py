@@ -15,12 +15,15 @@ event counts):
   :func:`repro.cluster.testbed.build_testbed` — same construction order,
   same ``Link`` wiring;
 * a one-switch spec compiles exactly like the old
-  :func:`repro.ethernet.switch.build_switched_testbed` — and keeps the
-  switch in MAC-learning mode (no static routes), preserving its
-  forwarding behavior event for event.
+  :func:`repro.ethernet.switch.build_switched_testbed`: its static routes
+  send each frame out of the port the old learning switch had pre-learned
+  for the destination NIC.
 
-Multi-switch specs get static ECMP routes: for every (switch, destination
-host) pair the candidate egress ports are the next hops of
+Hosts get ids (and so NIC MACs) 1..N in spec order, so ECMP picks and
+backoff seeds are a function of the spec alone.
+
+Every switched spec gets static ECMP routes: for every (switch,
+destination host) pair the candidate egress ports are the next hops of
 :meth:`repro.fabric.routing.RouteTables.table_for` toward the
 destination's edge switch — the same tables the chunk-level fabric
 routes by — and the frame-time pick is a seeded crc32 over the (src, dst)
@@ -77,7 +80,8 @@ def build_fabric_testbed(spec: TopologySpec,
         raise ValueError("switched testbeds support omx stacks only")
 
     sim = Simulator()
-    hosts = [Host(sim, platform, name=h) for h in spec.hosts]
+    hosts = [Host(sim, platform, name=h, host_id=i + 1)
+             for i, h in enumerate(spec.hosts)]
     host_index = {h: i for i, h in enumerate(spec.hosts)}
 
     # -- switchless pair: the legacy back-to-back wiring -----------------
@@ -136,23 +140,21 @@ def build_fabric_testbed(spec: TopologySpec,
             port_map[(sw, host)] = port
             switches[sw].attach_nic(port, hosts[host_index[host]].nic)
 
-    # Static ECMP routes — multi-switch only; a lone switch keeps the
-    # historical learning behavior (bit-identical to the old factory).
-    if len(spec.switches) > 1:
-        routes = RouteTables(spec)
-        for host in spec.hosts:
-            edge = routes.edge_of[host]
-            mac = hosts[host_index[host]].nic.mac
-            table = routes.table_for(edge)
-            for sw_name in spec.switch_names():
-                if sw_name == edge:
-                    ports = [port_map[(sw_name, host)]]
-                elif sw_name in table:
-                    ports = [port_map[(sw_name, nbr)]
-                             for nbr in table[sw_name]]
-                else:
-                    continue  # unreachable from this edge; no route
-                switches[sw_name].add_route(mac, ports)
+    # Static ECMP routes on every switch.
+    routes = RouteTables(spec)
+    for host in spec.hosts:
+        edge = routes.edge_of[host]
+        mac = hosts[host_index[host]].nic.mac
+        table = routes.table_for(edge)
+        for sw_name in spec.switch_names():
+            if sw_name == edge:
+                ports = [port_map[(sw_name, host)]]
+            elif sw_name in table:
+                ports = [port_map[(sw_name, nbr)]
+                         for nbr in table[sw_name]]
+            else:
+                continue  # unreachable from this edge; no route
+            switches[sw_name].add_route(mac, ports)
 
     metrics = MetricsRegistry()
     for sw in spec.switches:

@@ -44,7 +44,7 @@ from typing import Callable, Generator, Optional
 
 import numpy as np
 
-from repro.core.errors import RankDead
+from repro.core.errors import RankDead, TransferError
 from repro.fabric.network import FabricNetwork, _Message
 from repro.fabric.spec import TopologySpec
 from repro.mpi.comm import Rank
@@ -237,6 +237,9 @@ class FabricWorld:
         self._kill_time: Optional[int] = None
         self._last_dead: Optional[tuple[int, str, int]] = None
         self._procs: dict[int, object] = {}
+        #: a typed TransferError escaped run_spmd: some rank bodies unwound
+        #: before taking what was sent to them
+        self._aborted = False
 
     @property
     def size(self) -> int:
@@ -420,12 +423,25 @@ class FabricWorld:
             self._procs[r.rank] = proc
             procs.append(proc)
         all_done = AllOf(self.sim, procs)
-        return self.sim.run_until(all_done, max_events=max_events)
+        try:
+            return self.sim.run_until(all_done, max_events=max_events)
+        except TransferError:
+            self._aborted = True
+            raise
 
     def finish(self) -> None:
-        """Drain the event queues and run the teardown sanitizers."""
+        """Drain the event queues and run the teardown sanitizers.
+
+        After a typed abort, arrivals left for ranks whose bodies already
+        raised are stale, as after a death declaration; a run that
+        completed must leave no message unreceived.
+        """
         self.sim.run()
         self.sim.finish()
+        if self._aborted:
+            for key in sorted(self._arrived):
+                self.stale_drained += len(self._arrived[key])
+            self._arrived.clear()
         leftover = sorted(k for k, q in self._arrived.items() if q)
         if leftover:
             raise AssertionError(

@@ -231,18 +231,16 @@ class TopologySpec:
 # ---------------------------------------------------------------------------
 
 
-def pair_topology(bw: float = DEFAULT_BW,
-                  latency: int = DEFAULT_LATENCY) -> TopologySpec:
+def pair_topology() -> TopologySpec:
     """The paper's setup: two hosts, one cable, no switch."""
     return TopologySpec(
         name="pair",
         hosts=("node0", "node1"),
-        links=(LinkSpec("node0", "node1", bw, latency),),
+        links=(LinkSpec("node0", "node1"),),
     )
 
 
-def star_topology(n_hosts: int, bw: float = DEFAULT_BW,
-                  latency: int = DEFAULT_LATENCY) -> TopologySpec:
+def star_topology(n_hosts: int) -> TopologySpec:
     """N hosts around one switch (the historical incast testbed)."""
     if n_hosts < 2:
         raise ValueError("a star needs at least 2 hosts")
@@ -251,14 +249,12 @@ def star_topology(n_hosts: int, bw: float = DEFAULT_BW,
         name=f"star{n_hosts}",
         hosts=hosts,
         switches=(SwitchSpec("sw0"),),
-        links=tuple(LinkSpec(h, "sw0", bw, latency) for h in hosts),
+        links=tuple(LinkSpec(h, "sw0") for h in hosts),
     )
 
 
 def fat_tree(hosts: int = 0, tiers: int = 2, hosts_per_edge: int = 8,
              oversubscription: float = 1.0, k: int = 0,
-             bw: float = DEFAULT_BW, trunk_bw: Optional[float] = None,
-             latency: int = DEFAULT_LATENCY,
              ecmp_seed: str = "fabric") -> TopologySpec:
     """A 2- or 3-tier fat tree.
 
@@ -271,17 +267,14 @@ def fat_tree(hosts: int = 0, tiers: int = 2, hosts_per_edge: int = 8,
     switches, ``(k/2)^2 / oversubscription`` core switches, ``k^3/4``
     hosts; ``hosts``/``hosts_per_edge`` are derived from ``k``.
     """
-    trunk = bw if trunk_bw is None else trunk_bw
     if tiers == 2:
-        return _fat_tree2(hosts, hosts_per_edge, oversubscription,
-                          bw, trunk, latency, ecmp_seed)
+        return _fat_tree2(hosts, hosts_per_edge, oversubscription, ecmp_seed)
     if tiers == 3:
-        return _fat_tree3(k, oversubscription, bw, trunk, latency, ecmp_seed)
+        return _fat_tree3(k, oversubscription, ecmp_seed)
     raise ValueError(f"fat_tree supports 2 or 3 tiers, not {tiers}")
 
 
 def _fat_tree2(hosts: int, hosts_per_edge: int, oversub: float,
-               bw: float, trunk: float, latency: int,
                ecmp_seed: str) -> TopologySpec:
     if hosts < 2 or hosts_per_edge < 1:
         raise ValueError("fat_tree(tiers=2) needs hosts >= 2 and "
@@ -298,10 +291,10 @@ def _fat_tree2(hosts: int, hosts_per_edge: int, oversub: float,
     spines = [SwitchSpec(f"spine{s}", "spine") for s in range(n_spines)]
     links = []
     for i, h in enumerate(host_names):
-        links.append(LinkSpec(h, f"edge{i // hosts_per_edge}", bw, latency))
+        links.append(LinkSpec(h, f"edge{i // hosts_per_edge}"))
     for e in range(n_edges):
         for s in range(n_spines):
-            links.append(LinkSpec(f"edge{e}", f"spine{s}", trunk, latency))
+            links.append(LinkSpec(f"edge{e}", f"spine{s}"))
     return TopologySpec(
         name=f"fat_tree2[{hosts}h,{n_edges}e,{n_spines}s,os={oversub:g}]",
         hosts=host_names,
@@ -311,8 +304,7 @@ def _fat_tree2(hosts: int, hosts_per_edge: int, oversub: float,
     )
 
 
-def _fat_tree3(k: int, oversub: float, bw: float, trunk: float,
-               latency: int, ecmp_seed: str) -> TopologySpec:
+def _fat_tree3(k: int, oversub: float, ecmp_seed: str) -> TopologySpec:
     if k < 2 or k % 2:
         raise ValueError("fat_tree(tiers=3) needs an even k >= 2")
     if oversub < 1.0:
@@ -329,18 +321,18 @@ def _fat_tree3(k: int, oversub: float, bw: float, trunk: float,
             for h in range(half):
                 host = f"node{pod * half * half + e * half + h}"
                 hosts.append(host)
-                links.append(LinkSpec(host, edge, bw, latency))
+                links.append(LinkSpec(host, edge))
         for a in range(half):
             agg = f"p{pod}agg{a}"
             switches.append(SwitchSpec(agg, "agg"))
             for e in range(half):
-                links.append(LinkSpec(f"p{pod}edge{e}", agg, trunk, latency))
+                links.append(LinkSpec(f"p{pod}edge{e}", agg))
     for c in range(n_cores):
         switches.append(SwitchSpec(f"core{c}", "spine"))
         for pod in range(k):
             # core c homes on aggregation switch c // half of each pod
             agg = f"p{pod}agg{(c // half) % half}"
-            links.append(LinkSpec(agg, f"core{c}", trunk, latency))
+            links.append(LinkSpec(agg, f"core{c}"))
     return TopologySpec(
         name=f"fat_tree3[k={k},{len(hosts)}h,{n_cores}c,os={oversub:g}]",
         hosts=tuple(hosts),
@@ -352,8 +344,6 @@ def _fat_tree3(k: int, oversub: float, bw: float, trunk: float,
 
 def dragonfly(groups: int = 4, routers_per_group: int = 2,
               hosts_per_router: int = 2,
-              bw: float = DEFAULT_BW, trunk_bw: Optional[float] = None,
-              latency: int = DEFAULT_LATENCY,
               ecmp_seed: str = "fabric") -> TopologySpec:
     """A dragonfly: all-to-all routers inside each group, one global link
     between every group pair (assigned round-robin over the group's
@@ -361,7 +351,6 @@ def dragonfly(groups: int = 4, routers_per_group: int = 2,
     if groups < 2 or routers_per_group < 1 or hosts_per_router < 1:
         raise ValueError("dragonfly needs >= 2 groups and >= 1 "
                          "router/host per group")
-    trunk = bw if trunk_bw is None else trunk_bw
     hosts = []
     switches = []
     links = []
@@ -372,18 +361,16 @@ def dragonfly(groups: int = 4, routers_per_group: int = 2,
             for h in range(hosts_per_router):
                 host = (f"node{(g * routers_per_group + r) * hosts_per_router + h}")
                 hosts.append(host)
-                links.append(LinkSpec(host, name, bw, latency))
+                links.append(LinkSpec(host, name))
         for r in range(routers_per_group):
             for r2 in range(r + 1, routers_per_group):
-                links.append(LinkSpec(f"g{g}r{r}", f"g{g}r{r2}",
-                                      trunk, latency))
+                links.append(LinkSpec(f"g{g}r{r}", f"g{g}r{r2}"))
     pair_index = 0
     for g in range(groups):
         for g2 in range(g + 1, groups):
             ra = pair_index % routers_per_group
             rb = (pair_index + 1) % routers_per_group
-            links.append(LinkSpec(f"g{g}r{ra}", f"g{g2}r{rb}",
-                                  trunk, latency))
+            links.append(LinkSpec(f"g{g}r{ra}", f"g{g2}r{rb}"))
             pair_index += 1
     return TopologySpec(
         name=f"dragonfly[{groups}g,{routers_per_group}r,{hosts_per_router}h]",

@@ -219,6 +219,9 @@ def run_fabric_cell(topology: str = "fat_tree2", hosts: int = 16,
       demoted at least one gray trunk;
     * ``"rerouted"`` — completed over recomputed ECMP tables;
     * ``"completed"`` — the faults touched no in-flight flow.
+
+    Every cell ends with the fabric teardown (:meth:`FabricWorld.finish`);
+    what it finds is the report's ``sanitizer`` list, empty when clean.
     """
     from repro.faults.injectors import arm_plan
     from repro.faults.plan import FaultPlan
@@ -246,10 +249,13 @@ def run_fabric_cell(topology: str = "fat_tree2", hosts: int = 16,
     error: Optional[BaseException] = None
     try:
         world.run_spmd(body, max_events=CELL_MAX_EVENTS)
-        world.sim.run()
     except TransferError as exc:
         error = exc
-        world.sim.run()  # drain the declaration wave / stale traffic
+    sanitizer: list[str] = []
+    try:
+        world.finish()  # drains the declaration wave / stale traffic too
+    except AssertionError as exc:
+        sanitizer.append(str(exc))
     net = world.net
     res = net.resilience
     if error is not None:
@@ -276,6 +282,7 @@ def run_fabric_cell(topology: str = "fat_tree2", hosts: int = 16,
         "detail": str(error) if error is not None else "",
         "end_time": world.sim.now,
         "net": _net_stats(world),
+        "sanitizer": sanitizer,
     }
     if res is not None:
         report["resilience"] = res.snapshot()

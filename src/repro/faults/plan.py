@@ -362,8 +362,8 @@ def soak_plans(seed: str = "soak") -> list[FaultPlan]:
             ),
         ),
         # Flapping link: heavy bidirectional loss inside several windows,
-        # clean in between.  Retransmission must ride through each flap
-        # and the backoff state must decay once the link heals.
+        # clean in between.  Retransmission must ride through each flap.
+        # The loss never escalates to a dead letter or a BUSY backoff.
         FaultPlan(
             name="link-flap", seed=seed,
             links=(
@@ -377,9 +377,10 @@ def soak_plans(seed: str = "soak") -> list[FaultPlan]:
             ),
         ),
         # Incast bursts: the fan-in receiver's NIC ring starves in
-        # windows while its I/OAT fails and recovers underneath —
-        # receive-side degradation plus fan-in retransmit storms, the
-        # combination backpressure exists to keep survivable.
+        # windows while its I/OAT fails and recovers underneath, so its
+        # breakers trip and re-open during fan-in.  Neither BUSY trigger
+        # (eager-ring watermark, pull-handle cap) fires, so no
+        # backpressure is signalled.
         FaultPlan(
             name="incast-burst", seed=seed,
             nics=(NicFaultSpec(

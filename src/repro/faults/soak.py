@@ -24,8 +24,13 @@ The stock suite (:func:`soak_suite`) pairs each plan from
 :func:`repro.faults.plan.soak_plans` with the workload that stresses it:
 ``ioat-flap`` under a large-message stream (pull + offload path, so the
 circuit breakers trip and re-open), ``link-flap`` under pingpong
-(retransmission and backoff decay), ``incast-burst`` under switched
-fan-in (receive backpressure).
+(retransmission through loss windows), ``incast-burst`` under switched
+fan-in (NIC ring starvation while the receiver's breakers trip and
+re-open).  None of them reaches the BUSY backpressure and its backoff
+curve, keepalives, peer-death declarations, dead letters or pull aborts:
+``results/faults_soak.json`` records 0 for every one of those counters.
+Only ``tests/test_health.py`` and ``tests/test_faults_reliability.py``
+drive those paths.
 
 The fabric soak (:func:`run_fabric_soak_suite`, DESIGN.md §17) applies the
 same discipline at chunk scale: chained flap + degrade + lossy (+ crash-

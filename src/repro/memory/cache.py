@@ -52,10 +52,6 @@ class L2Cache:
         hit = sum(1 for p in range(first, first + n) if p in resident)
         return hit / n
 
-    def contains(self, addr: int, length: int) -> bool:
-        """True if the whole range is resident."""
-        return self.residency(addr, length) >= 1.0
-
     # -- updates ---------------------------------------------------------------
 
     def touch(self, addr: int, length: int) -> None:
@@ -78,20 +74,6 @@ class L2Cache:
                     resident.popitem(last=False)
                     self.evictions += 1
 
-    def invalidate(self, addr: int, length: int) -> None:
-        """Drop the range (DMA write snoop invalidation)."""
-        resident = self._resident
-        if not resident or length <= 0:
-            return  # nothing cached: skip the page walk (hot RX path)
-        pop = resident.pop
-        last = (addr + length - 1) // PAGE_SIZE
-        for p in range(addr // PAGE_SIZE, last + 1):
-            pop(p, None)
-
-    def flush(self) -> None:
-        """Empty the cache."""
-        self._resident.clear()
-
 
 class CacheDirectory:
     """All L2 caches of a host, indexed by die, with global invalidation."""
@@ -112,8 +94,8 @@ class CacheDirectory:
             return
         first = addr // PAGE_SIZE
         last = (addr + length - 1) // PAGE_SIZE
-        # Per-cache loop inlined from L2Cache.invalidate: this runs once per
-        # DMA write, i.e. once per received frame, across every die.
+        # Runs once per DMA write, i.e. once per received frame: skip the
+        # page walk for every cache that holds nothing.
         for c in self.caches:
             resident = c._resident
             if not resident:

@@ -137,8 +137,8 @@ class CpuCopier:
         # Stores take the destination lines exclusive: every other cache's
         # copy is invalidated (MESI).  This is what keeps ping-pong copies
         # between sockets permanently slow (Fig. 10): each side's data is
-        # dirty in the other side's cache.  (Per-cache loop inlined from
-        # L2Cache.invalidate: this runs once per BH copy.)
+        # dirty in the other side's cache.  (The invalidate_all loop minus
+        # the copying die, inline: this runs once per BH copy.)
         first = dsta // PAGE_SIZE
         last = (dsta + length - 1) // PAGE_SIZE
         for other in self.caches.caches:

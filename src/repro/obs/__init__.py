@@ -13,7 +13,8 @@ the first-class equivalents:
   (fragment copy, DMA submit, poll, syscall, pinning...) in simulated time
   and reproduces the Fig. 9 CPU-usage report.
 
-CLI: ``python -m repro.obs {report,export,diff}`` (also ``repro-obs``).
+CLI: ``python -m repro.obs {report,diff}`` (also ``repro-obs``); the
+Figs. 5/6 Perfetto trace: ``python examples/offload_timeline.py --trace``.
 """
 
 from repro.obs.profiler import PhaseProfiler, fig9_report

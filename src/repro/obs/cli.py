@@ -4,8 +4,10 @@
 
     repro-obs report                         # Fig. 9 CPU usage + phases
     repro-obs report --full --json results/fig9_obs.json
-    repro-obs export --figure both --out traces/fig56.json
     repro-obs diff results/a.json results/b.json
+
+The Figs. 5/6 Perfetto trace comes from
+``python examples/offload_timeline.py --trace OUT.json``.
 """
 
 from __future__ import annotations
@@ -28,28 +30,6 @@ def _cmd_report(args) -> int:
 
         print(f"report: {write_report(report, args.json)}")
     return 0 if report["calibration_ok"] else 1
-
-
-def _cmd_export(args) -> int:
-    from repro.obs.scenarios import run_fig56_scenario
-    from repro.obs.trace import export_trace_events, validate_trace_events, write_trace
-
-    modes = {"5": [False], "6": [True], "both": [False, True]}[args.figure]
-    recorders = []
-    for ioat in modes:
-        name = "fig6-ioat" if ioat else "fig5-memcpy"
-        recorders.append((name, run_fig56_scenario(ioat, size=args.size)))
-    doc = export_trace_events(recorders)
-    problems = validate_trace_events(doc)
-    if problems:  # pragma: no cover - exporter bug guard
-        for p in problems:
-            print(f"schema: {p}", file=sys.stderr)
-        return 1
-    path = write_trace(doc, args.out)
-    n = sum(1 for ev in doc["traceEvents"] if ev["ph"] != "M")
-    print(f"wrote {path} ({n} events, "
-          f"{len(recorders)} run(s)) — open in ui.perfetto.dev")
-    return 0
 
 
 def _flatten(obj, prefix="") -> dict[str, float]:
@@ -98,7 +78,7 @@ def _cmd_diff(args) -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
-        prog="repro-obs", description="observability: reports, traces, diffs",
+        prog="repro-obs", description="observability: reports and diffs",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -111,12 +91,6 @@ def main(argv=None) -> int:
     rep.add_argument("--no-cache", action="store_true",
                      help="disable the sweep cache")
 
-    exp = sub.add_parser("export", help="export fig5/fig6 Perfetto traces")
-    exp.add_argument("--figure", choices=("5", "6", "both"), default="both")
-    exp.add_argument("--out", default="results/fig56_trace.json")
-    exp.add_argument("--size", type=int, default=None,
-                     help="message size in bytes (default: 80 KiB)")
-
     dif = sub.add_parser("diff", help="numeric diff of two JSON artifacts")
     dif.add_argument("a")
     dif.add_argument("b")
@@ -124,12 +98,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.command == "report":
         return _cmd_report(args)
-    if args.command == "export":
-        if args.size is None:
-            from repro.obs.scenarios import FIG56_SIZE
-
-            args.size = FIG56_SIZE
-        return _cmd_export(args)
     return _cmd_diff(args)
 
 

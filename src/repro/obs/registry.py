@@ -29,7 +29,7 @@ names (``nic_rx_frames``, ``pull_replies_rx``...) survive unchanged —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 Number = Union[int, float]
 
@@ -111,13 +111,6 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
-    def names(self) -> list[str]:
-        """All registered metric names, in registration order."""
-        return list(self._metrics)
-
-    def metrics(self) -> Iterator[Metric]:
-        return iter(self._metrics.values())
-
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
 
@@ -155,37 +148,6 @@ class MetricsRegistry:
             else:
                 out[m.name] = m.read()
         return out
-
-    def fingerprint(self, exclude: Iterable[str] = ()) -> str:
-        """Order-insensitive hash of the current snapshot.
-
-        ``exclude`` names metrics that are *expected* to vary between
-        observationally equivalent runs (event-loop bookkeeping); the race
-        detector strips those before comparing.
-        Keys are sorted, so registration order never affects the digest.
-        """
-        import hashlib
-
-        drop = set(exclude)
-        snap = self.snapshot()
-        payload = "\n".join(f"{k}={snap[k]!r}" for k in sorted(snap)
-                            if k not in drop)
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def render(self, title: str = "metrics") -> str:
-        """Human-readable dump grouped by component."""
-        from repro.reporting.table import Table
-
-        t = Table(title, ["component", "kind", "metric", "value"])
-        snap = self.snapshot()
-        for m in self._metrics.values():
-            if m.kind == "histogram":
-                hist = self._hists[m.name]
-                t.add_row(m.component, m.kind, f"{m.name}_count", hist.count)
-                t.add_row(m.component, m.kind, f"{m.name}_sum", hist.sum)
-            else:
-                t.add_row(m.component, m.kind, m.name, snap[m.name])
-        return t.render()
 
 
 def diff_snapshots(

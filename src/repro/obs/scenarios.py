@@ -1,10 +1,10 @@
-"""Canonical traced scenarios shared by the examples and the CLI.
+"""Canonical traced scenarios shared by the examples and the tests.
 
 The fig5/fig6 scenario receives one multi-fragment large message — memcpy
 path or I/OAT offload path — with the receiver host's recorder (and the
 data direction of the wire) enabled, and returns the populated recorder.
-``examples/offload_timeline.py`` renders it as ASCII; ``repro-obs export``
-writes it as Perfetto JSON.
+``examples/offload_timeline.py`` renders it as ASCII and, with
+``--trace OUT.json``, writes both runs as one Perfetto file.
 """
 
 from __future__ import annotations

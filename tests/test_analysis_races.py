@@ -114,7 +114,7 @@ def test_fixed_scenario_sweeps_clean():
 
 @pytest.mark.parametrize("workload", ["pingpong", "stream", "incast"])
 def test_standard_workload_is_race_free(workload):
-    report = check_workload(workload, size=2048, iters=1, seeds=(1, 2))
+    report = check_workload(workload, size=2048, iters=1, seeds=(1, 2, 3))
     assert report.ok, report.format()
 
 

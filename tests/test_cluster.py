@@ -39,10 +39,16 @@ class TestHostTopology:
         assert a.socket != b.socket
 
     def test_host_ids_unique(self):
-        sim = Simulator()
-        plat = clovertown_5000x()
-        h1, h2 = Host(sim, plat), Host(sim, plat)
-        assert h1.host_id != h2.host_id
+        # Ids (and so NIC MACs) are 1..N in spec order on every build,
+        # whatever the process built before.
+        from repro.fabric.build import build_fabric_testbed
+        from repro.fabric.sweep import make_topology
+
+        spec = make_topology("fat_tree2", 4, hosts_per_edge=2)
+        for _ in range(2):
+            tb = build_fabric_testbed(spec)
+            assert [h.host_id for h in tb.hosts] == [1, 2, 3, 4]
+            assert [h.nic.mac for h in tb.hosts] == [1, 2, 3, 4]
 
     def test_user_spaces_disjoint(self, host):
         a = host.user_space("p1").alloc(100)

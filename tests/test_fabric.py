@@ -191,10 +191,12 @@ class TestFabricFaults:
         assert out["outcome"] == "rerouted"
         assert out["fabric_faults_armed"] == 1
         assert out["net"]["chunks_rerouted"] > 0
+        assert out["sanitizer"] == []
 
     def test_single_spine_kill_partitions(self):
         out = run_fabric_cell(**self.PARTITION_KW)
         assert out["outcome"] == "failed:FabricPartitioned"
+        assert out["sanitizer"] == []
 
     @pytest.mark.parametrize("kw", [REROUTE_KW, PARTITION_KW],
                              ids=["reroute", "partition"])
@@ -314,6 +316,21 @@ class TestFabricRaces:
                        max_events=MAXEV)
         world.finish()  # sanitizers: no stuck process, no leaked message
 
+    def test_teardown_flags_unreceived_message(self):
+        """A run that completed keeps the leftover check: a message that
+        no rank received fails the teardown."""
+        world = launch_fabric_world(
+            make_topology("fat_tree2", 4, hosts_per_edge=2))
+
+        def body(rank):
+            if rank.rank == 0:
+                req = yield from rank.isend(1, rank.space.alloc(64), tag=7)
+                yield from rank.wait(req)
+
+        world.run_spmd(body, max_events=MAXEV)
+        with pytest.raises(AssertionError, match="unconsumed messages"):
+            world.finish()
+
 
 # ---------------------------------------------------------------------------
 # the full-hardware path: build_fabric_testbed + wrappers
@@ -360,16 +377,8 @@ class TestHardwareFabric:
         out = self._allreduce_sums(build_switched_testbed(4), algo=algo)
         self._assert_sums(out, 4)
 
-    def test_trunk_ecmp_spreads_flows(self, monkeypatch):
-        """Both spines of a 1:1 fat tree carry frames under all-pairs load.
-
-        The trunk ECMP hash mixes the NIC MACs, which come from a
-        process-global host-id counter — pin it so the flow->spine
-        assignment doesn't depend on how many hosts earlier tests built.
-        """
-        import itertools
-        import repro.cluster.host as host_mod
-        monkeypatch.setattr(host_mod, "_HOST_IDS", itertools.count(1000))
+    def test_trunk_ecmp_spreads_flows(self):
+        """Both spines of a 1:1 fat tree carry frames under all-pairs load."""
         spec = make_topology("fat_tree2", 4, hosts_per_edge=2)
         tb = build_fabric_testbed(spec)
         self._assert_sums(self._allreduce_sums(tb), 4)
@@ -400,4 +409,3 @@ class TestHardwareFabric:
         assert len(tb.hosts) == 2 and tb.link is not None
         stb = build_switched_testbed(3)
         assert len(stb.hosts) == 3 and stb.switch is not None
-        assert not stb.switch._routes  # lone switch keeps learning mode

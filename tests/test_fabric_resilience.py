@@ -23,13 +23,11 @@ The ISSUE's acceptance bars, as tier-1 tests:
 """
 
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.cluster.host as host_mod
 from repro.core.errors import RankDead, TransferError
 from repro.ethernet.switch import build_switched_testbed
 from repro.fabric.build import build_fabric_testbed
@@ -268,17 +266,12 @@ class TestCrashStop:
         assert run() == (done, survivors, epoch, end)  # deterministic
 
     @pytest.mark.parametrize("n", [4 * KiB, 4 * KiB + 4, 12, 8])
-    def test_shrunk_ring_sums_real_bytes(self, n, monkeypatch):
+    def test_shrunk_ring_sums_real_bytes(self, n):
         """The shrunk ring is the normal ring over ``members``: on a
         byte-moving testbed, ranks 0, 1 and 3 end with 1 + 2 + 4 and rank
         2, outside the ring, keeps its own contribution.  4 KiB + 4 gives
         the last member a remainder block; 12 B is one float per block;
-        8 B (below 4p) leaves two members with empty blocks.
-
-        NIC MACs come from a process-global host-id counter that feeds
-        the switches' ECMP hash; a private counter keeps this test from
-        shifting the paths of testbeds that later tests build."""
-        monkeypatch.setattr(host_mod, "_HOST_IDS", itertools.count(1000))
+        8 B (below 4p) leaves two members with empty blocks."""
         comm = create_world(build_switched_testbed(4), ppn=1)
         members = [0, 1, 3]
         out = {}
@@ -324,6 +317,7 @@ class TestChaosCampaign:
             "shrunk-completed",
         ]
         assert len(report["cells"]) == 18  # 3 topologies x 6 axes
+        assert all(c["sanitizer"] == [] for c in report["cells"])
 
     def test_campaign_byte_identical(self):
         assert chaos_campaign() == chaos_campaign()

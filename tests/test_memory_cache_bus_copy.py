@@ -40,9 +40,11 @@ class TestL2Cache:
         assert cache.residency(0, PAGE_SIZE) == 1.0  # survived
         assert cache.residency(PAGE_SIZE, PAGE_SIZE) == 0.0  # page 1 evicted
 
-    def test_invalidate(self, cache):
+    def test_invalidate(self):
+        d = CacheDirectory(CacheParams(capacity=16 * PAGE_SIZE), n_dies=1)
+        cache = d[0]
         cache.touch(0, 4 * PAGE_SIZE)
-        cache.invalidate(PAGE_SIZE, PAGE_SIZE)
+        d.invalidate_all(PAGE_SIZE, PAGE_SIZE)
         assert cache.residency(0, 4 * PAGE_SIZE) == pytest.approx(0.75)
 
     def test_empty_range_is_resident(self, cache):

@@ -1,5 +1,7 @@
 """Tests for the typed metrics registry and the registry-backed counters."""
 
+import json
+
 import pytest
 
 from repro import build_testbed
@@ -86,12 +88,6 @@ class TestRegistry:
         assert reg.components() == ["nic", "omx"]
         assert reg.snapshot(component="nic") == {"rx": 3}
 
-    def test_render_groups_by_component(self):
-        reg = MetricsRegistry()
-        reg.counter("nic", "rx_frames", lambda: 9)
-        text = reg.render()
-        assert "nic" in text and "rx_frames" in text and "9" in text
-
 
 class TestHistogram:
     def test_power_of_two_buckets(self):
@@ -161,3 +157,17 @@ class TestCollectCounters:
         text = render_counters(tb.stacks[1])
         assert "pull_replies_rx" in text
         assert "omx_counters" in text
+
+
+def test_cli_diff_prints_changed_key(tmp_path, capsys):
+    """``repro-obs diff`` exits 0 and names the numeric leaf that moved."""
+    from repro.obs.cli import main
+
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"run": {"mib_s": 1.5, "events": 10}}))
+    b.write_text(json.dumps({"run": {"mib_s": 2.0, "events": 10}}))
+    assert main(["diff", str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    assert "run.mib_s: 1.5 -> 2" in out
+    assert "run.events" not in out
+    assert "1 differing value(s)" in out
