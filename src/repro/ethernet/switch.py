@@ -37,6 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.registry import MetricsRegistry
     from repro.simkernel.scheduler import Simulator
 
+#: per-port egress queue depth in frames; a frame that finds it full is
+#: tail-dropped
+EGRESS_QUEUE_FRAMES = 128
+
 
 class _SwitchPort:
     """Endpoint object plugged into one side of a Link, posing as a NIC."""
@@ -54,8 +58,7 @@ class EthernetSwitch:
 
     def __init__(self, sim: "Simulator", n_ports: int, link_bw: float,
                  propagation_delay: int, forwarding_latency: int = 500,
-                 egress_queue_frames: int = 128, name: str = "sw0",
-                 ecmp_seed: str = "fabric"):
+                 name: str = "sw0", ecmp_seed: str = "fabric"):
         self.sim = sim
         self.name = name
         self.ecmp_seed = ecmp_seed
@@ -70,7 +73,7 @@ class EthernetSwitch:
         #: static routes: dst MAC -> candidate egress ports (ECMP set)
         self._routes: dict[int, tuple[int, ...]] = {}
         self._egress_q: list[Store] = [
-            Store(sim, capacity=egress_queue_frames, name=f"sw-eg{i}")
+            Store(sim, capacity=EGRESS_QUEUE_FRAMES, name=f"sw-eg{i}")
             for i in range(n_ports)
         ]
         for i in range(n_ports):
@@ -98,9 +101,9 @@ class EthernetSwitch:
         self._tx_dir[port] = link.b_to_a
 
     def attach_trunk(self, port: int, peer: "EthernetSwitch", peer_port: int,
-                     bw: Optional[float] = None,
-                     latency: Optional[int] = None) -> Link:
-        """Cable switch ``port`` to ``peer_port`` of another switch.
+                     bw: float, latency: int) -> Link:
+        """Cable switch ``port`` to ``peer_port`` of another switch, at the
+        trunk's own rate ``bw`` and propagation ``latency``.
 
         Returns the trunk :class:`~repro.ethernet.link.Link` (this switch
         is side *a*, the peer side *b*) so fault plans can target it.
@@ -109,9 +112,7 @@ class EthernetSwitch:
             raise ValueError(f"port {port} already in use")
         if peer.links[peer_port] is not None:
             raise ValueError(f"peer port {peer_port} already in use")
-        link = Link(self.sim,
-                    self.link_bw if bw is None else bw,
-                    self.propagation_delay if latency is None else latency,
+        link = Link(self.sim, bw, latency,
                     name=f"trunk-{self.name}~{peer.name}")
         link.attach(self.ports[port],  # type: ignore[arg-type]
                     peer.ports[peer_port])  # type: ignore[arg-type]

@@ -32,9 +32,16 @@ Faults
 serialized onto the wire arrive, queued chunks are deterministically
 rerouted over recomputed tables (seeded ECMP over the live-link set), and
 flows with no remaining path fail their messages with the typed
-:class:`~repro.core.errors.FabricPartitioned`.  Per-port drop/occupancy
-counters and the aggregate flow counters are registered in a
-:class:`~repro.obs.registry.MetricsRegistry`.
+:class:`~repro.core.errors.FabricPartitioned`.
+
+Counters
+--------
+The aggregate flow counters (messages sent, delivered and failed; chunks
+forwarded, dropped, rerouted and retried) are registered in the network's
+:class:`~repro.obs.registry.MetricsRegistry`.  Per-port counters stay on
+the ports, off the registry, so a 1024-host fabric pays no registry entry
+per port: read them through :meth:`FabricNetwork.ports` and
+:meth:`FabricPort.stats`.
 """
 
 from __future__ import annotations
@@ -256,20 +263,10 @@ class FabricPort:
 
     # -- observation -------------------------------------------------------
 
-    def register_metrics(self, metrics: MetricsRegistry) -> None:
-        comp = self.owner or "host"
-        metrics.counter(comp, f"fabric_{self.name}_enqueued",
-                        lambda: self.enqueued, "chunks queued on this port")
-        metrics.counter(comp, f"fabric_{self.name}_dropped",
-                        lambda: self.dropped, "chunks dropped at this port")
-        metrics.counter(comp, f"fabric_{self.name}_rerouted",
-                        lambda: self.rerouted,
-                        "chunks detoured off this port after a link kill")
-        metrics.gauge(comp, f"fabric_{self.name}_peak_backlog_ns",
-                      lambda: self.peak_backlog_ns,
-                      "worst queueing delay seen at this port")
-
     def stats(self) -> dict:
+        """This port's counters: chunks enqueued, admitted, dropped and
+        rerouted, the worst queueing delay seen (ns) and the ticks spent
+        serializing."""
         return {
             "enqueued": self.enqueued,
             "admitted": self.admitted,
@@ -288,6 +285,7 @@ class FabricNetwork:
         self.spec = spec
         self.cost: CostTable = cost_table(backend)
         self.sim = Simulator()
+        #: the flow counters (and resilience's); per-port ones: :meth:`ports`
         self.metrics = MetricsRegistry()
         self.routes = RouteTables(spec)
         hosts = set(spec.hosts)
@@ -383,7 +381,6 @@ class FabricNetwork:
             port = FabricPort(self, f"{host}:tx", None,
                               self._wire_service(link.bw), self._forward,
                               delay)
-            port.register_metrics(self.metrics)
             self._tx_ports[host] = port
         return port
 
@@ -397,7 +394,6 @@ class FabricNetwork:
             port = FabricPort(self, f"{switch}:{peer}", switch,
                               self._wire_service(link.bw), self._forward,
                               delay)
-            port.register_metrics(self.metrics)
             self._sw_ports[key] = port
         return port
 
@@ -409,7 +405,6 @@ class FabricNetwork:
                        else self._chunk_delivered)
             port = FabricPort(self, f"{host}:rx", None, self._rx_ticks,
                               handler, 0)
-            port.register_metrics(self.metrics)
             self._rx_cpu_ports[host] = port
         return port
 
@@ -419,7 +414,6 @@ class FabricNetwork:
         if port is None:
             port = FabricPort(self, f"{host}:dma", None, self._dma_ticks,
                               self._chunk_delivered, 0)
-            port.register_metrics(self.metrics)
             self._rx_dma_ports[host] = port
         return port
 

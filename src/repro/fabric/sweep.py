@@ -437,10 +437,12 @@ def fabric_scenario(hosts: int = 8, size: int = 8 * KiB) -> Callable:
     demotion, suppressed flaps, rerouted chunks — under tie-break
     shuffles, not just the clean data plane.
 
-    The fabric has no per-host trace recorders; the observation is the
-    network's full metric snapshot (every port's counters plus the
-    aggregate flow counters), the final simulated time, and the per-cell
-    outcome string — everything the sweep reports are built from.
+    The fabric has no per-host trace recorders; the observation is one
+    flat ``"fabric"`` counter set — the network's registry snapshot (the
+    aggregate flow and resilience counters) plus every built port's
+    :meth:`~repro.fabric.network.FabricPort.stats` as
+    ``fabric_<port>_<counter>`` — the final simulated time, and the
+    per-cell outcome string: everything the sweep reports are built from.
     """
     from repro.analysis.races import Observation
     from repro.faults.injectors import arm_plan
@@ -460,7 +462,12 @@ def fabric_scenario(hosts: int = 8, size: int = 8 * KiB) -> Callable:
         body = collective_body("allreduce", size)
         world.run_spmd(body, max_events=CELL_MAX_EVENTS)
         world.finish()
-        snap = world.net.resilience.snapshot()
+        net = world.net
+        counters = net.metrics.snapshot()
+        for port in net.ports():
+            for stat, value in port.stats().items():
+                counters[f"fabric_{port.name}_{stat}"] = value
+        snap = net.resilience.snapshot()
         outcomes = {
             "cell": "completed",
             "cpu": ",".join(f"{k}={world.cpu[k]}" for k in sorted(world.cpu)),
@@ -470,7 +477,7 @@ def fabric_scenario(hosts: int = 8, size: int = 8 * KiB) -> Callable:
                                            "route_version")),
         }
         return Observation(
-            counters={"fabric": world.net.metrics.snapshot()},
+            counters={"fabric": counters},
             digests={},
             end_time=world.sim.now,
             pushes=world.sim._seq,

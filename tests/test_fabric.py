@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fabric import sweep
 from repro.fabric.routing import RouteTables, ecmp_pick
@@ -129,6 +130,124 @@ class TestRoutingDeterminism:
         assert routes.version > v0
         routes.revive_link(trunk.a, trunk.b)
         assert routes.is_live(trunk.a, trunk.b)
+
+
+class _OracleRoutes:
+    """The name-keyed route tables the integer ones replaced: one
+    dict-of-lists BFS per destination edge, cached until the live or
+    demoted trunk set changes."""
+
+    def __init__(self, spec):
+        hosts = set(spec.hosts)
+        self.seed = spec.ecmp_seed
+        self.adj = {s: [] for s in spec.switch_names()}
+        self.live, self.demoted, self.tables = {}, set(), {}
+        for l in spec.links:
+            if l.a not in hosts and l.b not in hosts:
+                self.adj[l.a].append(l.b)
+                self.adj[l.b].append(l.a)
+                self.live[tuple(sorted((l.a, l.b)))] = True
+        for peers in self.adj.values():
+            peers.sort()
+
+    def apply(self, op, key):
+        """Mirror one ``RouteTables.<op>_link`` call on trunk ``key``."""
+        if op in ("kill", "revive"):
+            self.live[key] = op == "revive"
+        elif op == "demote":
+            self.demoted.add(key)
+        else:
+            self.demoted.discard(key)
+        self.tables.clear()
+
+    def _bfs(self, dst, avoid):
+        table, frontier = {dst: []}, [dst]
+        while frontier:
+            level = {}
+            for sw in frontier:
+                for peer in self.adj[sw]:
+                    key = tuple(sorted((sw, peer)))
+                    if not self.live[key] or key in avoid:
+                        continue
+                    if peer in level:
+                        level[peer].append(sw)
+                    elif peer not in table:
+                        level[peer] = table[peer] = [sw]
+            frontier = sorted(level)
+        return table
+
+    def table_for(self, dst):
+        if dst not in self.tables:
+            table = self._bfs(dst, set())
+            if self.demoted:
+                preferred = self._bfs(dst, self.demoted)
+                if len(preferred) == len(table):
+                    table = preferred
+            self.tables[dst] = table
+        return self.tables[dst]
+
+    def path(self, src, dst, flow):
+        table = self.table_for(dst)
+        if src != dst and src not in table:
+            return None
+        walk = [src]
+        while walk[-1] != dst:
+            hops = table[walk[-1]]
+            walk.append(hops[ecmp_pick(self.seed, flow, walk[-1], len(hops))])
+        return tuple(walk)
+
+
+_ROUTE_OPS = ("demote", "kill", "restore", "revive")
+
+
+class TestRoutingDifferential:
+    """The integer tables equal the name-keyed oracle after any sequence
+    of kills, revivals, demotions and restorations: same tables, same
+    reachability and the same ECMP walk for every edge pair."""
+
+    @pytest.mark.parametrize("kind,hosts", [("fat_tree2", 32),
+                                            ("fat_tree3", 16),
+                                            ("fat_tree3", 128),
+                                            ("dragonfly", 32)])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(_ROUTE_OPS),
+        # mostly the first trunks in spec order (the first edge's or
+        # group's), so ops pile onto a few links and cut them off
+        st.one_of(st.integers(0, 7), st.integers(0, 1 << 16))),
+        max_size=16))
+    def test_matches_name_keyed_oracle(self, kind, hosts, ops):
+        spec = make_topology(kind, hosts, hosts_per_edge=4)
+        routes, oracle = RouteTables(spec), _OracleRoutes(spec)
+        trunks = spec.trunk_links()
+        edges = sorted({spec.edge_of(h) for h in spec.hosts})
+        for op, i in ops:
+            link = trunks[i % len(trunks)]
+            getattr(routes, f"{op}_link")(link.a, link.b)
+            oracle.apply(op, tuple(sorted((link.a, link.b))))
+            # query between ops so a stale cached table would show
+            flow = f"{op}/{i}"
+            assert (routes.path(edges[0], edges[-1], flow)
+                    == oracle.path(edges[0], edges[-1], flow))
+        for dst in edges:
+            assert routes.table_for(dst) == oracle.table_for(dst)
+            for src in edges:
+                flow = f"{src}>{dst}/0/0"
+                assert routes.path(src, dst, flow) == \
+                    oracle.path(src, dst, flow)
+                assert routes.reachable(src, dst) == \
+                    (src == dst or src in oracle.table_for(dst))
+
+    def test_rows_shared_at_1024_hosts(self):
+        """The 128 tables of a 1024-host fat tree hold fewer distinct row
+        objects than the fabric has switches."""
+        spec = make_topology("fat_tree3", 1024)
+        routes = RouteTables(spec)
+        edges = sorted({spec.edge_of(h) for h in spec.hosts})
+        assert len(edges) == 128
+        rows = {id(row) for edge in edges
+                for row in routes._table(routes._ids[edge])}
+        assert len(rows) < len(spec.switches)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +427,37 @@ class TestFabricRaces:
         report = det.run()
         assert report.ok, report.format()
 
+    def test_observation_covers_every_port(self, monkeypatch):
+        """The race observation carries all six counters of every built
+        port, flat in the one ``"fabric"`` entry."""
+        worlds = []
+
+        def capture(spec, backend):
+            worlds.append(launch_fabric_world(spec, backend=backend))
+            return worlds[-1]
+
+        monkeypatch.setattr(sweep, "launch_fabric_world", capture)
+        obs = fabric_scenario(hosts=8, size=4 * KiB)()
+        (world,) = worlds
+        ports = world.net.ports()
+        snap = obs.counters["fabric"]
+        assert list(obs.counters) == ["fabric"]
+        assert len(snap) == len(world.net.metrics) + 6 * len(ports)
+        for port in ports:
+            assert snap[f"fabric_{port.name}_admitted"] == port.admitted
+            assert snap[f"fabric_{port.name}_busy_ticks"] == port.busy_ticks
+
     def test_teardown_clean_at_128_hosts(self):
         spec = make_topology("fat_tree2", 128, oversubscription=1.0)
         world = launch_fabric_world(spec, backend="ioat")
         from repro.fabric.sweep import collective_body
+        registered = len(world.net.metrics)
         world.run_spmd(collective_body("allreduce", 4 * KiB),
                        max_events=MAXEV)
         world.finish()  # sanitizers: no stuck process, no leaked message
+        # per-port counters stay on the ports: no registry entry per port
+        assert world.net.ports()
+        assert len(world.net.metrics) == registered
 
     def test_teardown_flags_unreceived_message(self):
         """A run that completed keeps the leftover check: a message that
