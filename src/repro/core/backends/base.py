@@ -106,8 +106,7 @@ class LaneGroup:
             # Published on the host so fault injectors and sanitizers
             # enumerate backend lanes exactly like engine channels.
             host.extra_dma_channels.append(ch)
-            if host.health is not None:
-                host.health.adopt(ch)
+            host.health.adopt(ch)
 
     def __len__(self) -> int:
         return len(self.channels)

@@ -93,9 +93,10 @@ class FabricPartitioned(TransferError):
 class RankDead(TransferError):
     """A fabric rank crash-stopped and took this operation with it.
 
-    Declared by the fabric liveness layer
-    (:class:`repro.fabric.resilience.FabricLivenessMonitor`) a short grace
-    window after a :class:`~repro.fabric.mpi.FabricRank` is killed: every
+    Declared by the fabric world's liveness check
+    (:meth:`repro.fabric.mpi.FabricWorld._declare_rank_dead`, armed by
+    ``_kill_rank_now``) a short grace window after a
+    :class:`~repro.fabric.mpi.FabricRank` is killed: every
     request the survivors still have pending against the current collective
     epoch fails with this error, deterministically and all at once, so the
     abort drains instead of livelocking.  Collective-level recovery (the

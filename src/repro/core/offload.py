@@ -135,7 +135,7 @@ class OffloadManager:
         engine = self.backend.engine
         channel = engine.allocate_channel()
         health = self.host.health
-        if health is not None and not health.allows_offload(channel):
+        if not health.allows_offload(channel):
             # Continue the round-robin draw instead of restarting the scan
             # from channels[0], which herded every rerouted message onto
             # the first healthy channel: drawing keeps advancing the
@@ -180,8 +180,7 @@ class OffloadManager:
         if state.memcpy_only:
             # Assignment found every breaker open.  Each refused fragment
             # still signals offload demand so recovery probes keep flowing.
-            if health is not None:
-                health.allows_offload(state.channel)
+            health.allows_offload(state.channel)
             self.breaker_shortcircuits += 1
             return False
         if state.channel.failed:
@@ -190,10 +189,9 @@ class OffloadManager:
             # channel that stays dead trips to OPEN and recovery is probed
             # (the abort events alone only cover copies in flight at the
             # moment of failure).
-            if health is not None:
-                health.record_fallback(state.channel)
+            health.record_fallback(state.channel)
             return False
-        if health is not None and not health.allows_offload(state.channel):
+        if not health.allows_offload(state.channel):
             # Breaker open: memcpy-only until a half-open probe re-opens it.
             self.breaker_shortcircuits += 1
             return False
@@ -312,5 +310,4 @@ class OffloadManager:
         # repeated heals never accumulate history and a permanently dead
         # channel keeps being picked, healed, and picked again forever.
         # Multi-lane tickets blame the lane that actually aborted.
-        if self.host.health is not None:
-            self.host.health.record_fallback(entry.cookie.channel)
+        self.host.health.record_fallback(entry.cookie.channel)

@@ -151,7 +151,6 @@ class Communicator:
 
 
 def create_world(tb: "Testbed", ppn: int = 1, nodes: Optional[int] = None,
-                 cores_per_rank_offset: int = 0,
                  placement: str = "cyclic") -> Communicator:
     """Open one endpoint per rank and pin it to a core.
 
@@ -179,7 +178,7 @@ def create_world(tb: "Testbed", ppn: int = 1, nodes: Optional[int] = None,
         slot = slots_used[node]
         slots_used[node] += 1
         ep = tb.open_endpoint(node, slot)
-        core = tb.hosts[node].user_core(slot + cores_per_rank_offset)
+        core = tb.hosts[node].user_core(slot)
         space = getattr(ep, "space", None)
         if space is None:  # native MX endpoints have no library space
             space = tb.hosts[node].user_space(f"rank{rank}")

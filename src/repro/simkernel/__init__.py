@@ -30,11 +30,11 @@ enabling fork/join.
 """
 
 from repro.simkernel.errors import Interrupted, SimulationError
-from repro.simkernel.event import AllOf, AnyOf, Event, Timeout
+from repro.simkernel.event import AllOf, Event, Timeout
 from repro.simkernel.process import Process
 from repro.simkernel.resources import Resource, Store
 from repro.simkernel.scheduler import Simulator
-from repro.simkernel.sync import Gate, Signal
+from repro.simkernel.sync import Signal
 from repro.simkernel.cpu import Core, CpuSet
 from repro.simkernel.tiebreak import (
     FifoTieBreak,
@@ -47,12 +47,10 @@ from repro.simkernel.tracing import TraceRecorder, TraceSpan
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Core",
     "CpuSet",
     "Event",
     "FifoTieBreak",
-    "Gate",
     "Interrupted",
     "PrefixShuffleTieBreak",
     "Process",

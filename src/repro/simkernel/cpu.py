@@ -15,7 +15,7 @@ machine).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.simkernel.resources import Resource
 
@@ -142,21 +142,19 @@ class CpuSet:
         """Cores sharing L2 cache ``die``."""
         return [c for c in self.cores if c.die == die]
 
-    def reset_counters(self, cores: Optional[Iterable[Core]] = None) -> None:
-        for c in cores if cores is not None else self.cores:
+    def reset_counters(self) -> None:
+        for c in self.cores:
             c.reset_counters()
 
-    def busy_by_category(self, cores: Optional[Iterable[Core]] = None) -> dict[str, int]:
-        """Aggregate busy ticks per category across ``cores`` (default all)."""
+    def busy_by_category(self) -> dict[str, int]:
+        """Aggregate busy ticks per category across all cores."""
         agg: dict[str, int] = {}
-        for c in cores if cores is not None else self.cores:
+        for c in self.cores:
             for cat, ticks in c.counters.by_category.items():
                 agg[cat] = agg.get(cat, 0) + ticks
         return agg
 
-    def usage_percent(
-        self, elapsed: int, cores: Optional[Iterable[Core]] = None
-    ) -> dict[str, float]:
+    def usage_percent(self, elapsed: int) -> dict[str, float]:
         """Busy percent *of one core* per category over ``elapsed`` ticks.
 
         This matches the paper's Fig. 9 presentation, where 100 % means one
@@ -166,5 +164,5 @@ class CpuSet:
             return {}
         return {
             cat: 100.0 * ticks / elapsed
-            for cat, ticks in self.busy_by_category(cores).items()
+            for cat, ticks in self.busy_by_category().items()
         }

@@ -112,81 +112,38 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: int, value: object = None, name: str = ""):
+    def __init__(self, sim: "Simulator", delay: int, value: object = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay}")
-        # The name is left empty unless given: timeouts are the hottest event
-        # kind, and __repr__ falls back to the class name + delay anyway.
-        super().__init__(sim, name)
+        # No name: timeouts are the hottest event kind, and __repr__ labels
+        # them by their delay.
+        super().__init__(sim)
         self.delay = int(delay)
         sim._schedule_timeout(self, self.delay, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "ok" if self.triggered else "pending"
-        label = self.name or f"timeout({self.delay})"
-        return f"<{label} {state} @{id(self):#x}>"
+        return f"<timeout({self.delay}) {state} @{id(self):#x}>"
 
 
-class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
-
-    __slots__ = ("events", "_n_done")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event], name: str):
-        super().__init__(sim, name)
-        self.events = tuple(events)
-        self._n_done = 0
-        if not self.events:
-            self.succeed(self._result())
-            return
-        for ev in self.events:
-            ev.add_callback(self._on_child)
-
-    def _result(self) -> object:
-        raise NotImplementedError
-
-    def _on_child(self, ev: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Succeeds when the first of ``events`` triggers.
-
-    The value is the ``(event, value)`` pair of the first trigger.  A failing
-    child fails the composite.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events, "any_of")
-
-    def _result(self) -> object:
-        return None
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev.exception is not None:
-            self.fail(ev.exception)
-        else:
-            self.succeed((ev, ev.value))
-
-
-class AllOf(_Condition):
+class AllOf(Event):
     """Succeeds when every one of ``events`` has triggered.
 
     The value is the list of child values in the original order.  The first
     failing child fails the composite.
     """
 
-    __slots__ = ()
+    __slots__ = ("events", "_n_done")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events, "all_of")
-
-    def _result(self) -> object:
-        return []
+        super().__init__(sim, "all_of")
+        self.events = tuple(events)
+        self._n_done = 0
+        if not self.events:
+            self.succeed([])
+            return
+        for ev in self.events:
+            ev.add_callback(self._on_child)
 
     def _on_child(self, ev: Event) -> None:
         if self.triggered:

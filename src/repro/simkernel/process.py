@@ -229,4 +229,4 @@ class Process(Event):
             self._sleep_epoch += 1
             self._step(None, Interrupted(cause))
 
-        self.sim._call_soon(deliver)
+        self.sim.call_soon(deliver)

@@ -2,18 +2,18 @@
 
 :class:`Resource` is a counted FIFO lock (capacity >= 1).  ``request()``
 returns an event that succeeds when a slot is granted; ``release()`` hands
-the slot to the next waiter.  The common acquire/work/release pattern is
-packaged as the generator helper :meth:`Resource.using`.
+the slot to the next waiter.
 
-:class:`Store` is an unbounded-or-bounded FIFO queue of items with blocking
-``get``/``put`` following the same event discipline.  It is the building
-block for packet queues, event rings and softirq work lists.
+:class:`Store` is a FIFO queue of items whose ``get`` blocks, following the
+same event discipline.  It is the building block for packet queues, event
+rings and softirq work lists.  A bounded store never blocks a producer:
+``try_put`` reports a full store and ``put`` raises on one.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.simkernel.errors import SimulationError
 from repro.simkernel.event import Event
@@ -67,20 +67,12 @@ class Resource:
         else:
             self._in_use -= 1
 
-    def using(self, work: Generator) -> Generator:
-        """``yield from`` helper: hold a slot for the duration of ``work``."""
-        yield self.request()
-        try:
-            result = yield from work
-        finally:
-            self.release()
-        return result
-
 
 class Store:
-    """FIFO queue with blocking get/put.
+    """FIFO queue with a blocking get.
 
-    ``capacity=None`` means unbounded (puts never block).
+    ``capacity=None`` means unbounded; a bounded store takes
+    :meth:`try_put`, and :meth:`put` on a full one raises.
     """
 
     def __init__(self, sim: "Simulator", capacity: Optional[int] = None, name: str = ""):
@@ -94,7 +86,6 @@ class Store:
         self._get_name = f"{name}.get" if name else "get"
         self._items: deque[object] = deque()
         self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, object]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -105,17 +96,18 @@ class Store:
         return tuple(self._items)
 
     def put(self, item: object) -> Event:
-        """Queue ``item``; the returned event succeeds once it is stored."""
-        ev = Event(self.sim, self._put_name)
+        """Queue ``item``; the returned event has already succeeded.
+
+        Raises :class:`SimulationError` if the store is full.
+        """
         if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(None)
+            self._getters.popleft().succeed(item)
         elif self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            ev.succeed(None)
         else:
-            self._putters.append((ev, item))
+            raise SimulationError(f"put on full store {self.name!r}")
+        ev = Event(self.sim, self._put_name)
+        ev.succeed(None)
         return ev
 
     def try_put(self, item: object) -> bool:
@@ -132,10 +124,7 @@ class Store:
         """Dequeue the oldest item; the event succeeds with the item."""
         ev = Event(self.sim, self._get_name)
         if self._items:
-            item = self._items.popleft()
-            ev.succeed(item)
-            if self._putters:
-                self._drain_putters()
+            ev.succeed(self._items.popleft())
         else:
             self._getters.append(ev)
         return ev
@@ -143,16 +132,5 @@ class Store:
     def try_get(self) -> tuple[bool, object]:
         """Non-blocking get; returns ``(ok, item)``."""
         if self._items:
-            item = self._items.popleft()
-            if self._putters:
-                self._drain_putters()
-            return True, item
+            return True, self._items.popleft()
         return False, None
-
-    def _drain_putters(self) -> None:
-        while self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            ev, item = self._putters.popleft()
-            self._items.append(item)
-            ev.succeed(None)

@@ -35,12 +35,16 @@ Storage is split three ways, FIFO-equivalent to a single seq-keyed heap:
   classic binary heap.  For one target time T, every heap entry was pushed
   while T was ≥ the horizon away and every wheel entry while T was nearer,
   so all heap entries at T precede all wheel entries at T in push order —
-  a plain ``(when, seq)`` comparison between the two tops merges them in
-  exact FIFO order.
+  running the heap's due entries first is exact FIFO order.
 
-When a tie-break policy is installed the fast containers are bypassed
-entirely: every push goes through the policy-keyed heap and the legacy
-drain loop runs, so permutation replays see every same-timestamp tie.
+One drain loop (:meth:`Simulator._drain`) serves both entry points:
+:meth:`~Simulator.run_until` stops it when its event triggers, and
+:meth:`~Simulator.run` passes an event that never triggers and stops it
+at ``until`` or when the queues drain.  When a tie-break policy is
+installed the fast containers are bypassed entirely: every push goes
+through the policy-keyed heap and the historical keyed loops run, so
+permutation replays see every same-timestamp tie.  The keyed loops are
+also the reference the fast loop is tested against.
 """
 
 from __future__ import annotations
@@ -129,9 +133,9 @@ class Simulator:
         """Create a fresh pending event."""
         return Event(self, name)
 
-    def timeout(self, delay: int, value: object = None, name: str = "") -> Timeout:
+    def timeout(self, delay: int, value: object = None) -> Timeout:
         """Create an event that succeeds ``delay`` ticks from now."""
-        return Timeout(self, delay, value, name)
+        return Timeout(self, delay, value)
 
     def process(self, gen: Generator, name: str = "") -> "Process":
         """Spawn a generator as a process; returns its completion event."""
@@ -191,7 +195,7 @@ class Simulator:
         if not callbacks:
             # Nobody is waiting (e.g. a Store.put ack the producer dropped):
             # skip the empty dispatch hop.  Late add_callback still works —
-            # it self-schedules through _call_soon.
+            # it pushes the callback at the current time itself.
             return
         if len(callbacks) == 1:
             # The common case (one waiting process): the callback itself is
@@ -205,10 +209,6 @@ class Simulator:
             self._now_q.append([self.now, 0, fn, args])
         else:
             self._push(self.now, fn, args)
-
-    def _call_soon(self, thunk: Callable[[], None]) -> None:
-        """Run ``thunk`` at the current simulation time, after queued work."""
-        self._push(self.now, thunk)
 
     # -- lightweight scheduling (fast paths) --------------------------------
 
@@ -229,136 +229,25 @@ class Simulator:
 
     # -- run loop ----------------------------------------------------------
 
-    def _next_entry(self) -> Optional[list]:
-        """Peek the earliest scheduled (wheel/heap) entry, or None.
-
-        The plain ``(when, seq)`` comparison between the wheel top and the
-        heap top is exact FIFO: for any target time, heap entries (pushed
-        while the time was beyond the horizon) always predate wheel entries.
-        """
-        wtop = None
-        if self._wheel_count:
-            wheel = self._wheel
-            tick = self._wheel_hint
-            slot = wheel[tick & _WHEEL_MASK]
-            while not slot:
-                tick += 1
-                slot = wheel[tick & _WHEEL_MASK]
-            self._wheel_hint = tick
-            wtop = slot[0]
-        heap = self._heap
-        if heap and (wtop is None or heap[0] < wtop):
-            return heap[0]
-        return wtop
-
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the queues drain, ``until`` is reached, or ``max_events``.
 
-        Returns the simulation time when the loop stopped.
+        Returns the simulation time when the loop stopped.  The clock never
+        goes backwards: an ``until`` earlier than ``now`` raises.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run back in time (until={until} < now={self.now})"
+            )
         if self.tiebreak is not None:
             return self._run_keyed(until, max_events)
-        self._running = True
-        count = 0
-        nq = self._now_q
-        wheel = self._wheel
-        heap = self._heap
-        heappop = heapq.heappop
-        log = self._schedule_log
-        limit = max_events if max_events is not None else float("inf")
-        # The drain loop allocates heavily (entry lists, generator frames)
-        # but holds no cycles long enough to matter: pausing the cyclic GC
-        # for the duration avoids collector sweeps mid-simulation.  Refcount
-        # reclamation is unaffected; the pause nests safely (inner loops see
-        # the collector already off and leave it off).
-        gc_was_on = gc.isenabled()
-        if gc_was_on:
-            gc.disable()
-        try:
-            while True:
-                now = self.now
-                # 1a) far-horizon (heap) entries due now.  Every heap entry
-                #     at time T predates every wheel entry at T (it was
-                #     pushed while T was beyond the horizon, hence earlier,
-                #     hence with a smaller seq), so the whole heap batch
-                #     runs first and no cross-container compare is needed.
-                #     New pushes during a callback are strictly future
-                #     (when > now routes to wheel/heap, when == now to the
-                #     now-queue), so neither batch can grow while draining.
-                while heap:
-                    top = heap[0]
-                    if top[0] != now:
-                        break
-                    heappop(heap)
-                    fn = top[2]
-                    if log is not None:
-                        log.append((now, _action_label(fn)))
-                    fn(*top[3])
-                    count += 1
-                    if count >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; possible livelock"
-                        )
-                # 1b) wheel entries due now: all in the hint slot (equal
-                #     when ⇒ equal slot tick), drained in (when, seq) order
-                #     by the slot mini-heap.
-                if self._wheel_count:
-                    tick = self._wheel_hint
-                    slot = wheel[tick & _WHEEL_MASK]
-                    while not slot:
-                        tick += 1
-                        slot = wheel[tick & _WHEEL_MASK]
-                    self._wheel_hint = tick
-                    while slot:
-                        top = slot[0]
-                        if top[0] != now:
-                            break
-                        heappop(slot)
-                        self._wheel_count -= 1
-                        fn = top[2]
-                        if log is not None:
-                            log.append((now, _action_label(fn)))
-                        fn(*top[3])
-                        count += 1
-                        if count >= limit:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}; possible livelock"
-                            )
-                # 2) the now-queue: same-tick pushes, batched FIFO drain.
-                #    Entries appended while draining run in this same batch;
-                #    nothing new can enter the wheel/heap *at* the current
-                #    time, so the two phases never interleave.
-                while nq:
-                    e = nq.popleft()
-                    fn = e[2]
-                    if log is not None:
-                        log.append((now, _action_label(fn)))
-                    fn(*e[3])
-                    count += 1
-                    if count >= limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; possible livelock"
-                        )
-                # 3) advance to the next scheduled time (or stop).  The peek
-                #    must be fresh: the same-tick batch may have scheduled
-                #    entries earlier than anything seen above.
-                top = self._next_entry()
-                if top is None:
-                    if until is not None and until > self.now:
-                        self.now = until
-                    break
-                if until is not None and top[0] > until:
-                    self.now = until
-                    break
-                self.now = top[0]
-        finally:
-            if gc_was_on:
-                gc.enable()
-            self._running = False
-            self.events_processed += count
-            Simulator.events_total += count
+        # An event nothing triggers: the loop stops only when the queues
+        # drain or the next tick lies beyond ``until``.
+        self._drain(Event(self), until, max_events)
+        if until is not None:
+            self.now = until
         return self.now
 
     def run_until(self, ev: Event, max_events: Optional[int] = None) -> object:
@@ -367,6 +256,21 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         if self.tiebreak is not None:
             return self._run_until_keyed(ev, max_events)
+        self._drain(ev, None, max_events)
+        if ev._value is _PENDING and ev._exc is None:
+            raise SimulationError(
+                f"deadlock: event {ev!r} cannot trigger, no pending events"
+            )
+        return ev.value
+
+    def _drain(self, ev: Event, until: Optional[int],
+               max_events: Optional[int]) -> None:
+        """The FIFO drain loop behind :meth:`run` and :meth:`run_until`.
+
+        Runs actions in ``(when, seq)`` order until ``ev`` triggers, the
+        queues drain, or the next tick lies beyond ``until``; ``now`` is
+        left at the last tick run.
+        """
         self._running = True
         count = 0
         nq = self._now_q
@@ -380,6 +284,11 @@ class Simulator:
         #: can only land on the now-queue, so the per-action wheel/heap peek
         #: is skipped for the whole same-tick dispatch batch.
         due = True
+        # The drain loop allocates heavily (entry lists, generator frames)
+        # but holds no cycles long enough to matter: pausing the cyclic GC
+        # for the duration avoids collector sweeps mid-simulation.  Refcount
+        # reclamation is unaffected; the pause nests safely (inner loops see
+        # the collector already off and leave it off).
         gc_was_on = gc.isenabled()
         if gc_was_on:
             gc.disable()
@@ -421,8 +330,8 @@ class Simulator:
                     fn = e[2]
                     args = e[3]
                 else:
-                    # Tick exhausted: advance.  Re-peek (inlined _next_entry)
-                    # — the same-tick batch may have scheduled entries
+                    # Tick exhausted: advance.  Re-peek (inlined peek) —
+                    # the same-tick batch may have scheduled entries
                     # earlier than the stale top; only the minimum `when`
                     # matters here, so ints compare instead of entries.
                     when = None
@@ -438,10 +347,8 @@ class Simulator:
                         hwhen = heap[0][0]
                         if when is None or hwhen < when:
                             when = hwhen
-                    if when is None:
-                        raise SimulationError(
-                            f"deadlock: event {ev!r} cannot trigger, no pending events"
-                        )
+                    if when is None or (until is not None and when > until):
+                        break
                     self.now = when
                     due = True
                     continue
@@ -457,7 +364,6 @@ class Simulator:
             self._running = False
             self.events_processed += count
             Simulator.events_total += count
-        return ev.value
 
     # -- keyed (tie-break policy) run loops ---------------------------------
     #
@@ -531,8 +437,20 @@ class Simulator:
         """Time of the next scheduled action, or None if nothing is pending."""
         if self._now_q:
             return self.now
-        top = self._next_entry()
-        return None if top is None else top[0]
+        when = None
+        if self._wheel_count:
+            wheel = self._wheel
+            tick = self._wheel_hint
+            slot = wheel[tick & _WHEEL_MASK]
+            while not slot:
+                tick += 1
+                slot = wheel[tick & _WHEEL_MASK]
+            self._wheel_hint = tick
+            when = slot[0][0]
+        heap = self._heap
+        if heap and (when is None or heap[0][0] < when):
+            when = heap[0][0]
+        return when
 
     def record_schedule(self) -> list[tuple[int, str]]:
         """Start logging every executed action as ``(time, label)``.

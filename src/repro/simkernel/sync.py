@@ -1,12 +1,8 @@
-"""Reusable synchronisation primitives built on one-shot events.
+"""A reusable broadcast condition built on one-shot events.
 
-:class:`Signal` is a broadcast condition: ``wait()`` returns a fresh event
-that the next ``fire(value)`` call triggers.  Useful for "new event arrived
-in the ring" notifications where many sleepers must all wake.
-
-:class:`Gate` is a level-triggered condition: while *open*, waits complete
-immediately; while *closed*, they block until the gate opens.  Useful for
-flow control (e.g. "pending-skbuff pool below limit").
+:class:`Signal`: ``wait()`` returns a fresh event that the next
+``fire(value)`` call triggers.  Useful for "new event arrived in the ring"
+notifications where many sleepers must all wake.
 """
 
 from __future__ import annotations
@@ -44,37 +40,3 @@ class Signal:
         self.fired_count += 1
         return len(waiters)
 
-
-class Gate:
-    """Level-triggered barrier: open lets waiters through, closed blocks."""
-
-    def __init__(self, sim: "Simulator", is_open: bool = True, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._gate_name = f"{name}.gate" if name else "gate"
-        self._open = is_open
-        self._waiters: list[Event] = []
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def wait(self) -> Event:
-        """Event that succeeds immediately if open, else on next open."""
-        ev = Event(self.sim, self._gate_name)
-        if self._open:
-            ev.succeed(None)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def open(self) -> None:
-        """Open the gate, releasing all waiters."""
-        self._open = True
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed(None)
-
-    def close(self) -> None:
-        """Close the gate; subsequent waits block."""
-        self._open = False

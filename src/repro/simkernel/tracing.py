@@ -105,16 +105,16 @@ class TraceRecorder:
     def spans_on(self, lane: str) -> list[TraceSpan]:
         return [s for s in self.spans if s.lane == lane]
 
-    def render_ascii(self, width: int = 100, t0: Optional[int] = None, t1: Optional[int] = None) -> str:
+    def render_ascii(self, width: int = 100) -> str:
         """Render spans as a Fig.5/6-style ASCII timeline.
 
         Each lane becomes one row; spans are drawn as ``[label...]`` blocks
-        scaled to the [t0, t1] window.
+        scaled to the window from the first span start to the last end.
         """
         if not self.spans:
             return "(no trace spans)"
-        lo = min(s.start for s in self.spans) if t0 is None else t0
-        hi = max(s.end for s in self.spans) if t1 is None else t1
+        lo = min(s.start for s in self.spans)
+        hi = max(s.end for s in self.spans)
         if hi <= lo:
             hi = lo + 1
         scale = width / (hi - lo)

@@ -3,8 +3,9 @@
 The scheduler keeps three containers (now-queue, timer wheel, binary heap)
 that must be observationally identical to the single seq-keyed heap they
 replaced.  These tests pin the contract from the outside: far-horizon
-spill ordering, batched same-tick dispatch, re-entry, and a hypothesis
-differential against the keyed (historical) drain loop.
+spill ordering, batched same-tick dispatch, re-entry, a clock that never
+goes backwards, and a hypothesis differential of the one fast drain loop,
+through both of its entry points, against the keyed (historical) loops.
 """
 
 import pytest
@@ -152,12 +153,24 @@ _op = st.tuples(
 )
 
 
-def _run_program(sim: Simulator, program) -> tuple[list, int, int]:
-    """Execute a schedule program; returns (log, end_time, event_count)."""
+def _run_program(sim: Simulator, program, entry: str, stop: int,
+                 resume_delay: int) -> tuple[list, list]:
+    """Execute a schedule program through one entry point.
+
+    ``entry`` is ``"run"`` (drain), ``"run_until"`` (stop once action
+    ``stop`` has run, then drain) or ``"run(until=)"`` (run to time
+    ``stop``, then drain).  After a stop, one more action is pushed
+    ``resume_delay`` ahead, as a caller between two runs would.  Returns
+    the log and one ``(log length, clock, event count)`` mark per run.
+    """
     log = []
+    marks = []
+    stopped = sim.event()
 
     def action(idx, delay, spawn):
         log.append((sim.now, idx))
+        if entry == "run_until" and idx == stop:
+            stopped.succeed()
         if spawn:
             # re-schedule from inside a callback: same tick and future,
             # exercising the mid-drain push rules
@@ -167,17 +180,55 @@ def _run_program(sim: Simulator, program) -> tuple[list, int, int]:
 
     for idx, (delay, spawn) in enumerate(program):
         sim.call_at(sim.now + delay, action, idx, delay, spawn)
+    if entry != "run":
+        if entry == "run_until":
+            sim.run_until(stopped)
+        else:
+            sim.run(until=stop)
+        marks.append((len(log), sim.now, sim.events_processed))
+        sim.call_at(sim.now + resume_delay, log.append, (sim.now, "resume"))
     sim.run()
-    return log, sim.now, sim.events_processed
+    marks.append((len(log), sim.now, sim.events_processed))
+    return log, marks
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(program=st.lists(_op, min_size=1, max_size=40))
-def test_wheel_heap_nowq_identical_to_keyed_heap(program):
+@given(program=st.lists(_op, min_size=1, max_size=40),
+       stop_at=st.integers(min_value=0, max_value=39),
+       until=st.integers(min_value=0, max_value=4 * HORIZON),
+       resume_delay=st.sampled_from([0, 1, 1 << _WHEEL_SHIFT, HORIZON]))
+def test_wheel_heap_nowq_identical_to_keyed_heap(program, stop_at, until,
+                                                  resume_delay):
     """The three-container kernel replays any schedule program with the
     exact order, clock, and event count of the single keyed heap (the
-    historical drain loop, forced via an explicit FIFO policy)."""
-    fast = _run_program(Simulator(), program)
-    keyed = _run_program(Simulator(tiebreak=FifoTieBreak()), program)
-    assert fast == keyed
+    historical drain loops, forced via an explicit FIFO policy), through
+    each entry point: ``run()``, ``run_until(ev)`` stopped by a drawn
+    action, and ``run(until=T)``, each stop followed by ``run()``."""
+    for entry, stop in (("run", None), ("run_until", stop_at % len(program)),
+                        ("run(until=)", until)):
+        fast = _run_program(Simulator(), program, entry, stop, resume_delay)
+        keyed = _run_program(Simulator(tiebreak=FifoTieBreak()), program,
+                             entry, stop, resume_delay)
+        assert fast == keyed, entry
+
+
+class TestClockNeverGoesBack:
+    """``run(until=T)`` with ``T`` before ``now`` would rewind the clock
+    and let a caller schedule into the past; it raises instead, on the
+    fast loop and the keyed loop alike."""
+
+    @pytest.mark.parametrize("policy", [None, FifoTieBreak], ids=["fast", "keyed"])
+    def test_run_until_a_past_time_raises(self, policy):
+        sim = Simulator(tiebreak=policy() if policy is not None else None)
+        log = []
+        sim.call_at(30, log.append, 30)
+        assert sim.run(until=20) == 20
+        with pytest.raises(SimulationError, match="back in time"):
+            sim.run(until=5)
+        assert sim.now == 20
+        with pytest.raises(SimulationError, match="past"):
+            sim.call_at(10, log.append, 10)
+        assert sim.run(until=20) == 20  # the current time is not the past
+        assert sim.run() == 30
+        assert log == [30]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.simkernel import (
-    Gate,
     Interrupted,
     Process,
     Resource,
@@ -259,21 +258,6 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release()
 
-    def test_using_releases_on_error(self, sim):
-        res = Resource(sim, 1)
-
-        def failing_work():
-            yield sim.timeout(1)
-            raise RuntimeError("x")
-
-        def worker():
-            yield from res.using(failing_work())
-
-        p = sim.process(worker())
-        sim.run()
-        assert isinstance(p.exception, RuntimeError)
-        assert res.in_use == 0
-
     def test_queue_len(self, sim):
         res = Resource(sim, 1)
         res.request()
@@ -320,23 +304,12 @@ class TestStore:
         sim.run_until(sim.process(consumer()))
         assert out == [0, 1, 2, 3, 4]
 
-    def test_bounded_put_blocks(self, sim):
+    def test_put_on_full_store_raises(self, sim):
         st = Store(sim, capacity=1)
         st.put("a")
-        done = []
-
-        def producer():
-            yield st.put("b")
-            done.append(sim.now)
-
-        def consumer():
-            yield sim.timeout(50)
-            yield st.get()
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert done == [50]
+        with pytest.raises(SimulationError, match="full store"):
+            st.put("b")
+        assert st.items == ("a",)
 
     def test_try_put_try_get(self, sim):
         st = Store(sim, capacity=1)
@@ -367,28 +340,6 @@ class TestSync:
         sim.process(firer())
         sim.run()
         assert sorted(woke) == [0, 1, 2]
-
-    def test_gate_blocks_until_open(self, sim):
-        gate = Gate(sim, is_open=False)
-        times = []
-
-        def waiter():
-            yield gate.wait()
-            times.append(sim.now)
-
-        def opener():
-            yield sim.timeout(20)
-            gate.open()
-
-        sim.process(waiter())
-        sim.process(opener())
-        sim.run()
-        assert times == [20]
-
-    def test_open_gate_passes_immediately(self, sim):
-        gate = Gate(sim, is_open=True)
-        ev = gate.wait()
-        assert ev.triggered
 
 
 class TestDaemon:
