@@ -99,7 +99,7 @@ class _Direction:
     *cursor train*: the per-frame completion records go on a plain deque
     and a single self-rescheduling scheduler entry (the cursor) walks the
     train, so a burst of N frames keeps at most one TX and one delivery
-    entry in the timer wheel at a time instead of 2·N.  The cursor fires
+    entry in the scheduler at a time instead of 2·N.  The cursor fires
     once per frame per stage — the executed action count is identical to
     the per-frame path.  The moment any hook is attached (``inject_loss``
     / ``inject_fault`` / tracing), new frames take the per-frame slow

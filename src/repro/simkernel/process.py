@@ -22,13 +22,10 @@ was waiting on.  The interrupted process may catch the exception and continue
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.simkernel.errors import Interrupted, SimulationError
 from repro.simkernel.event import _PENDING, Event
-
-from repro.simkernel.scheduler import _WHEEL_MASK, _WHEEL_SHIFT, _WHEEL_SLOTS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simkernel.scheduler import Simulator
@@ -107,27 +104,19 @@ class Process(Event):
             # Bare-int sleep: two scheduler entries (fire, then a same-tick
             # resume hop), the exact FIFO shape of the Timeout it replaces.
             self._sleep_epoch = epoch = self._sleep_epoch + 1
+            # _push inlined (the sleep push is the single hottest scheduling
+            # operation in the simulator): append to the bucket already
+            # filed for the wake time.  A keyed simulator files no bucket,
+            # so it always takes its policy-keyed _push.
             sim = self.sim
-            if sim.tiebreak is not None:
-                sim._push(sim.now + target, self._fire_cb, (epoch,))
-                return
-            # _push inlined (FIFO fast path): the sleep push is the single
-            # hottest scheduling operation in the simulator.
-            now = sim.now
-            if target == 0:
-                sim._now_q.append([now, 0, self._fire_cb, (epoch,)])
-                return
-            when = now + target
-            sim._seq += 1
-            entry = [when, sim._seq, self._fire_cb, (epoch,)]
-            tick = when >> _WHEEL_SHIFT
-            if tick - (now >> _WHEEL_SHIFT) < _WHEEL_SLOTS:
-                heappush(sim._wheel[tick & _WHEEL_MASK], entry)
-                sim._wheel_count += 1
-                if sim._wheel_count == 1 or tick < sim._wheel_hint:
-                    sim._wheel_hint = tick
+            when = sim.now + target
+            bucket = sim._buckets.get(when)
+            if bucket is None:
+                sim._push(when, self._fire_cb, (epoch,))
             else:
-                heappush(sim._heap, entry)
+                if target:
+                    sim._seq += 1
+                bucket.append((self._fire_cb, (epoch,)))
             return
         self._resolve_target(target)
 
@@ -162,13 +151,15 @@ class Process(Event):
         # The timer leg of a bare-int sleep (stands in for Timeout.succeed).
         if epoch != self._sleep_epoch or self._value is not _PENDING or self._exc is not None:
             return  # interrupted (or finished) while asleep: stale timer
+        # Same-tick push inlined (this is the hottest single action in the
+        # simulator): the loop is walking the current time's bucket.  A
+        # keyed simulator files no bucket; its _push sees every tie.
         sim = self.sim
-        if sim.tiebreak is None:
-            # Same-tick push inlined (this is the hottest single action in
-            # the simulator); the keyed path must still see every tie.
-            sim._now_q.append([sim.now, 0, self._resume_cb, (epoch,)])
-        else:
+        bucket = sim._buckets.get(sim.now)
+        if bucket is None:
             sim._push(sim.now, self._resume_cb, (epoch,))
+        else:
+            bucket.append((self._resume_cb, (epoch,)))
 
     def _sleep_resume(self, epoch: int) -> None:
         # The same-tick dispatch leg (stands in for the callback-run hop).
@@ -191,24 +182,14 @@ class Process(Event):
         if type(target) is int and target >= 0:
             self._sleep_epoch = epoch = self._sleep_epoch + 1
             sim = self.sim
-            if sim.tiebreak is not None:
-                sim._push(sim.now + target, self._fire_cb, (epoch,))
-                return
-            now = sim.now
-            if target == 0:
-                sim._now_q.append([now, 0, self._fire_cb, (epoch,)])
-                return
-            when = now + target
-            sim._seq += 1
-            entry = [when, sim._seq, self._fire_cb, (epoch,)]
-            tick = when >> _WHEEL_SHIFT
-            if tick - (now >> _WHEEL_SHIFT) < _WHEEL_SLOTS:
-                heappush(sim._wheel[tick & _WHEEL_MASK], entry)
-                sim._wheel_count += 1
-                if sim._wheel_count == 1 or tick < sim._wheel_hint:
-                    sim._wheel_hint = tick
+            when = sim.now + target
+            bucket = sim._buckets.get(when)
+            if bucket is None:
+                sim._push(when, self._fire_cb, (epoch,))
             else:
-                heappush(sim._heap, entry)
+                if target:
+                    sim._seq += 1
+                bucket.append((self._fire_cb, (epoch,)))
             return
         self._resolve_target(target)
 

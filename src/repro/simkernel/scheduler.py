@@ -1,66 +1,49 @@
-"""The event loop: a timer wheel + now-queue in front of a binary heap.
+"""The event loop: one FIFO bucket of actions per pending timestamp.
 
-Entries are ``[when, seq, fn, args]`` lists; ``fn(*args)`` runs at absolute
-time ``when``.  Two kinds of actions dominate:
+``fn(*args)`` runs at absolute time ``when``.  Two kinds of actions
+dominate:
 
 * *timeouts* — trigger an :class:`Event` at a future time;
 * *dispatches* — run the callback list of an already-triggered event, or a
   bare callable, at the *current* time.
 
-Ties at equal times fire in scheduling order (monotonic sequence numbers), so
-the simulation is deterministic regardless of hash ordering or allocation
-addresses.  That FIFO order is the *documented* tie-break — and the only
-schedule property layers above are allowed to rely on.  The tie-break is
-pluggable (:mod:`repro.simkernel.tiebreak`): the race detector replays
-scenarios under seeded permutations of same-timestamp ties to prove no
-hidden schedule dependency crept in.
+Ties at equal times fire in scheduling order, so the simulation is
+deterministic regardless of hash ordering or allocation addresses.  That
+FIFO order is the *documented* tie-break — and the only schedule property
+layers above are allowed to rely on.  The tie-break is pluggable
+(:mod:`repro.simkernel.tiebreak`): the race detector replays scenarios
+under seeded permutations of same-timestamp ties to prove no hidden
+schedule dependency crept in.
 
-Storage is split three ways, FIFO-equivalent to a single seq-keyed heap:
-
-* **now-queue** — a deque for entries pushed at exactly the current time
-  (the same-tick dispatch hop: event callbacks, ``call_soon``).  Batched
-  dispatch drains it without any heap traffic.  Correct because an entry
-  pushed *at* time T was pushed *during* tick T, hence after — and with a
-  larger sequence number than — every heap/wheel entry scheduled *for* T,
-  all of which were pushed while ``now < T``.  So draining all scheduled
-  entries at T first, then the now-queue in append order, is exactly the
-  global ``(when, seq)`` order.
-* **timer wheel** — 256 slots of 4096 ns for near-future timeouts (the
-  overwhelmingly common case: serialization times, link delays, busy
-  periods).  Each slot is a tiny heap, so pushes and pops touch a handful
-  of entries instead of re-heapifying the global queue per event.  An
-  entry goes to the wheel iff its slot tick is less than 256 slots ahead
-  of the current one, which makes slot indices unique among live entries.
-* **heap** — far-horizon entries (retransmit/watchdog timers) spill to the
-  classic binary heap.  For one target time T, every heap entry was pushed
-  while T was ≥ the horizon away and every wheel entry while T was nearer,
-  so all heap entries at T precede all wheel entries at T in push order —
-  running the heap's due entries first is exact FIFO order.
+Storage is a dict from each pending time to a list of its ``(fn, args)``
+actions in push order, plus a binary heap of the distinct pending times.
+That is exactly the ``(when, seq)`` order of a single heap keyed by a push
+counter: an action pushed for time T was pushed after every action pushed
+earlier for T, so push order within one bucket *is* sequence order, and no
+entry carries or compares a sequence number.  The loop pops one int per
+distinct time and walks that time's list; a list iterator sees appends
+made during the walk, so same-tick pushes (event callbacks, ``call_soon``,
+the resume hop of a sleep) run in the same pass.
 
 One drain loop (:meth:`Simulator._drain`) serves both entry points:
 :meth:`~Simulator.run_until` stops it when its event triggers, and
 :meth:`~Simulator.run` passes an event that never triggers and stops it
-at ``until`` or when the queues drain.  When a tie-break policy is
-installed the fast containers are bypassed entirely: every push goes
-through the policy-keyed heap and the historical keyed loops run, so
-permutation replays see every same-timestamp tie.  The keyed loops are
-also the reference the fast loop is tested against.
+at ``until`` or when nothing is pending.  When a tie-break policy is
+installed no bucket is ever filed: every push goes through the
+policy-keyed heap and the historical keyed loops run, so permutation
+replays see every same-timestamp tie.  The keyed loops are also the
+reference the fast loop is tested against.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-from collections import deque
+import sys
 from typing import Callable, Generator, Optional
 
 from repro.simkernel.errors import SimulationError
 from repro.simkernel.event import _PENDING, Event, Timeout
-
-#: timer-wheel geometry: 256 slots of 2**12 ns (~4.1 us) — a ~1 ms horizon.
-_WHEEL_SHIFT = 12
-_WHEEL_SLOTS = 256
-_WHEEL_MASK = _WHEEL_SLOTS - 1
 
 
 def _run_callbacks(ev: Event, callbacks: list) -> None:
@@ -86,15 +69,14 @@ class Simulator:
 
     def __init__(self, tiebreak: Optional[object] = None) -> None:
         self.now: int = 0
+        #: pending time -> its ``(fn, args)`` actions, in push order
+        self._buckets: dict[int, list[tuple]] = {}
+        #: heap of the distinct pending times (the keys of ``_buckets``)
+        self._times: list[int] = []
+        #: the ``[when, key, fn, args]`` heap of a tie-break policy
         self._heap: list[list] = []
-        #: same-tick entries (pushed at ``when == now``), drained FIFO
-        self._now_q: deque[list] = deque()
-        #: near-future entries, radix-partitioned into per-slot mini-heaps
-        self._wheel: list[list[list]] = [[] for _ in range(_WHEEL_SLOTS)]
-        #: entries currently in the wheel
-        self._wheel_count: int = 0
-        #: lower bound on the slot tick of the earliest wheel entry
-        self._wheel_hint: int = 0
+        #: the race detector's push count: pushes for a future time on the
+        #: FIFO path, every push under a tie-break policy
         self._seq: int = 0
         self._running = False
         #: number of events processed; useful for runaway detection in tests
@@ -113,7 +95,8 @@ class Simulator:
             # Shadow the class push with a keyed closure on this instance
             # only, so FIFO simulators never pay for the indirection.  The
             # keyed path routes *everything* (including same-tick pushes)
-            # through the heap so the policy sees every tie.
+            # through the heap so the policy sees every tie; it files no
+            # bucket, so the inlined bucket appends always fall back here.
             key = tiebreak.key
             heap = self._heap
 
@@ -165,27 +148,22 @@ class Simulator:
 
     def _push(self, when: int, fn: Callable, args: tuple = ()) -> None:
         now = self.now
-        if when <= now:
-            if when < now:
-                raise SimulationError(
-                    f"cannot schedule in the past ({when} < {now})"
-                )
-            self._now_q.append([when, 0, fn, args])
-            return
-        self._seq += 1
-        entry = [when, self._seq, fn, args]
-        tick = when >> _WHEEL_SHIFT
-        if tick - (now >> _WHEEL_SHIFT) < _WHEEL_SLOTS:
-            heapq.heappush(self._wheel[tick & _WHEEL_MASK], entry)
-            self._wheel_count += 1
-            if self._wheel_count == 1 or tick < self._wheel_hint:
-                self._wheel_hint = tick
+        if when > now:
+            self._seq += 1
+        elif when < now:
+            raise SimulationError(
+                f"cannot schedule in the past ({when} < {now})"
+            )
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [(fn, args)]
+            heapq.heappush(self._times, when)
         else:
-            heapq.heappush(self._heap, entry)
+            bucket.append((fn, args))
 
     def _schedule_timeout(self, ev: Event, delay: int, value: object) -> None:
-        # succeed() defaults its value to None, so the bound method goes on
-        # the heap directly with the value as its argument — no closure.
+        # succeed() defaults its value to None, so the bound method is filed
+        # directly with the value as its argument — no closure.
         self._push(self.now + delay, ev.succeed, (value,))
 
     def _dispatch(self, ev: Event) -> None:
@@ -203,12 +181,13 @@ class Simulator:
             fn, args = callbacks[0], (ev,)
         else:
             fn, args = _run_callbacks, (ev, callbacks)
-        if self.tiebreak is None:
-            # Same-tick push inlined (skips _push's routing): dispatch hops
-            # always target the now-queue on the FIFO fast path.
-            self._now_q.append([self.now, 0, fn, args])
-        else:
+        # Same-tick push inlined: while the loop walks the current time, its
+        # bucket is filed, and the hop joins the walk.
+        bucket = self._buckets.get(self.now)
+        if bucket is None:
             self._push(self.now, fn, args)
+        else:
+            bucket.append((fn, args))
 
     # -- lightweight scheduling (fast paths) --------------------------------
 
@@ -230,7 +209,7 @@ class Simulator:
     # -- run loop ----------------------------------------------------------
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the queues drain, ``until`` is reached, or ``max_events``.
+        """Run until nothing is pending, ``until`` is reached, or ``max_events``.
 
         Returns the simulation time when the loop stopped.  The clock never
         goes backwards: an ``until`` earlier than ``now`` raises.
@@ -243,8 +222,8 @@ class Simulator:
             )
         if self.tiebreak is not None:
             return self._run_keyed(until, max_events)
-        # An event nothing triggers: the loop stops only when the queues
-        # drain or the next tick lies beyond ``until``.
+        # An event nothing triggers: the loop stops only when nothing is
+        # pending or the next time lies beyond ``until``.
         self._drain(Event(self), until, max_events)
         if until is not None:
             self.now = until
@@ -267,24 +246,23 @@ class Simulator:
                max_events: Optional[int]) -> None:
         """The FIFO drain loop behind :meth:`run` and :meth:`run_until`.
 
-        Runs actions in ``(when, seq)`` order until ``ev`` triggers, the
-        queues drain, or the next tick lies beyond ``until``; ``now`` is
-        left at the last tick run.
+        Walks the buckets in time order until ``ev`` triggers, nothing is
+        pending, or the next time lies beyond ``until``; ``now`` is left at
+        the last time run.  Each action is logged before it runs, when a
+        schedule log is recording, and ``max_events`` and the stop event are
+        checked after it.  A walk that stops or raises part-way cuts the
+        actions that ran from its bucket, so none reruns.
         """
         self._running = True
         count = 0
-        nq = self._now_q
-        wheel = self._wheel
-        heap = self._heap
+        buckets = self._buckets
+        times = self._times
         heappop = heapq.heappop
         log = self._schedule_log
-        limit = max_events if max_events is not None else float("inf")
-        #: False once the scheduled containers are known drained at `now`;
-        #: stays valid within the tick because a push at the current time
-        #: can only land on the now-queue, so the per-action wheel/heap peek
-        #: is skipped for the whole same-tick dispatch batch.
-        due = True
-        # The drain loop allocates heavily (entry lists, generator frames)
+        limit = max_events if max_events is not None else sys.maxsize
+        #: the bucket being walked, while a walk is in progress
+        bucket = None
+        # The drain loop allocates heavily (entry tuples, generator frames)
         # but holds no cycles long enough to matter: pausing the cyclic GC
         # for the duration avoids collector sweeps mid-simulation.  Refcount
         # reclamation is unaffected; the pause nests safely (inner loops see
@@ -294,76 +272,51 @@ class Simulator:
             gc.disable()
         try:
             # `ev._value is _PENDING and ev._exc is None` is Event.triggered
-            # inlined: this loop runs once per simulation event, and the
-            # property call is measurable at fig. 11 event counts.
-            while ev._value is _PENDING and ev._exc is None:
-                if due:
-                    now = self.now
-                    # Far-horizon (heap) entries due now run before every
-                    # wheel entry at the same time (smaller seqs: they were
-                    # pushed while the time was beyond the horizon), so an
-                    # int compare on the heap top replaces the cross-
-                    # container (when, seq) merge.
-                    if heap and heap[0][0] == now:
-                        top = heappop(heap)
-                        fn = top[2]
-                        args = top[3]
-                    else:
-                        wtop = None
-                        if self._wheel_count:
-                            tick = self._wheel_hint
-                            slot = wheel[tick & _WHEEL_MASK]
-                            while not slot:
-                                tick += 1
-                                slot = wheel[tick & _WHEEL_MASK]
-                            self._wheel_hint = tick
-                            wtop = slot[0]
-                        if wtop is None or wtop[0] != now:
-                            due = False
-                            continue
-                        heappop(slot)
-                        self._wheel_count -= 1
-                        fn = wtop[2]
-                        args = wtop[3]
-                elif nq:
-                    e = nq.popleft()
-                    fn = e[2]
-                    args = e[3]
-                else:
-                    # Tick exhausted: advance.  Re-peek (inlined peek) —
-                    # the same-tick batch may have scheduled entries
-                    # earlier than the stale top; only the minimum `when`
-                    # matters here, so ints compare instead of entries.
-                    when = None
-                    if self._wheel_count:
-                        tick = self._wheel_hint
-                        slot = wheel[tick & _WHEEL_MASK]
-                        while not slot:
-                            tick += 1
-                            slot = wheel[tick & _WHEEL_MASK]
-                        self._wheel_hint = tick
-                        when = slot[0][0]
-                    if heap:
-                        hwhen = heap[0][0]
-                        if when is None or hwhen < when:
-                            when = hwhen
-                    if when is None or (until is not None and when > until):
+            # inlined: the loop tests it after every action.
+            while ev._value is _PENDING and ev._exc is None and times:
+                when = times[0]
+                if until is not None and when > until:
+                    break
+                self.now = when
+                bucket = buckets[when]
+                walked = count
+                for fn, args in bucket:
+                    if log is not None:
+                        log.append((when, _action_label(fn)))
+                    fn(*args)
+                    count += 1
+                    if (count >= limit or ev._value is not _PENDING
+                            or ev._exc is not None):
                         break
-                    self.now = when
-                    due = True
+                else:
+                    # A push for `when` during the walk appended to the
+                    # bucket, so the time heap still has `when` on top.
+                    heappop(times)
+                    del buckets[when]
+                    bucket = None
                     continue
-                if log is not None:
-                    log.append((self.now, _action_label(fn)))
-                fn(*args)
-                count += 1
+                self._cut(bucket, count - walked)
+                bucket = None
                 if count >= limit:
                     raise SimulationError(f"exceeded max_events={max_events}")
+        except BaseException:
+            if bucket is not None:
+                # The action that raised has run, but is not counted.
+                self._cut(bucket, count - walked + 1)
+            raise
         finally:
             if gc_was_on:
                 gc.enable()
             self._running = False
             self.events_processed += count
             Simulator.events_total += count
+
+    def _cut(self, bucket: list, ran: int) -> None:
+        """Drop the first ``ran`` actions of the bucket at ``now``."""
+        del bucket[:ran]
+        if not bucket:
+            heapq.heappop(self._times)
+            del self._buckets[self.now]
 
     # -- keyed (tie-break policy) run loops ---------------------------------
     #
@@ -434,23 +387,16 @@ class Simulator:
         return ev.value
 
     def peek(self) -> Optional[int]:
-        """Time of the next scheduled action, or None if nothing is pending."""
-        if self._now_q:
-            return self.now
-        when = None
-        if self._wheel_count:
-            wheel = self._wheel
-            tick = self._wheel_hint
-            slot = wheel[tick & _WHEEL_MASK]
-            while not slot:
-                tick += 1
-                slot = wheel[tick & _WHEEL_MASK]
-            self._wheel_hint = tick
-            when = slot[0][0]
-        heap = self._heap
-        if heap and (when is None or heap[0][0] < when):
-            when = heap[0][0]
-        return when
+        """Time of the next scheduled action, or None if nothing is pending.
+
+        Inside an action it names ``now`` while the walk of ``now``'s bucket
+        lasts, even after the bucket's last action has started.
+        """
+        # Only one heap is ever filled: the time heap on the FIFO path, the
+        # keyed heap under a tie-break policy.
+        if self._times:
+            return self._times[0]
+        return self._heap[0][0] if self._heap else None
 
     def record_schedule(self) -> list[tuple[int, str]]:
         """Start logging every executed action as ``(time, label)``.

@@ -1,10 +1,11 @@
 """Pluggable same-timestamp tie-break policies for the event heap.
 
-The :class:`~repro.simkernel.scheduler.Simulator` orders its heap by
-``(time, key)``; the *key* for entries at equal times is what a tie-break
-policy controls.  The documented contract — and the default, which is
-bit-identical to the historical behaviour — is FIFO: ties fire in
-scheduling order (monotonic sequence numbers).
+Under a policy the :class:`~repro.simkernel.scheduler.Simulator` keeps
+every entry on one heap ordered by ``(time, key)``; the *key* for entries
+at equal times is what a tie-break policy controls.  The documented
+contract — and the default, whose per-time FIFO buckets are bit-identical
+to the historical behaviour — is FIFO: ties fire in scheduling order
+(monotonic sequence numbers).
 
 Everything else in this module exists to *attack* that contract.  The
 race detector (:mod:`repro.analysis.races`) replays a scenario under N

@@ -5,10 +5,18 @@ The property test at the bottom is the satellite the ISSUE asks for: after
 pending-cookie count return to zero.
 """
 
+import traceback
+from pathlib import Path
+
 import pytest
 
 from repro import build_testbed
-from repro.analysis.sanitizers import Sanitizer, SanitizerError
+from repro.analysis.sanitizers import (
+    _SITE_DEPTH,
+    Sanitizer,
+    SanitizerError,
+    _capture_site,
+)
 from repro.units import KiB, MiB
 
 from tests.test_omx_endtoend import pingpong_once
@@ -93,6 +101,45 @@ def test_teardown_check_runs_via_simulator_finish():
     tb.sim.run()
     with pytest.raises(SanitizerError):
         tb.sim.finish()
+
+
+# ---------------------------------------------------------------------------
+# acquire sites: a frame walk, checked against the extract_stack build
+# ---------------------------------------------------------------------------
+
+#: three nested helpers, compiled under a file name without "sanitizers" in
+#: it: the capture skips this file's frames as it skips the sanitizer's own
+_HELPERS = """\
+def outer(capture):
+    return middle(capture)
+def middle(capture):
+    return inner(capture)
+def inner(capture):
+    return capture()
+"""
+
+
+def _extract_stack_site() -> str:
+    """The acquire site as ``traceback.extract_stack`` built it (oracle)."""
+    frames = [
+        f for f in traceback.extract_stack()
+        if "sanitizers" not in Path(f.filename).name
+    ][-_SITE_DEPTH:]
+    return " <- ".join(
+        f"{Path(f.filename).name}:{f.lineno} in {f.name}" for f in reversed(frames)
+    )
+
+
+def test_capture_site_matches_extract_stack():
+    helpers: dict = {}
+    exec(compile(_HELPERS, "site_helpers.py", "exec"), helpers)
+    walked, extracted = helpers["outer"](
+        lambda: (_capture_site(), _extract_stack_site()))
+    assert walked == extracted
+    assert walked.startswith(
+        "site_helpers.py:6 in inner <- site_helpers.py:4 in middle"
+        " <- site_helpers.py:2 in outer <- ")
+    assert walked.count(" <- ") == _SITE_DEPTH - 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ temporary directory, and must match the committed file byte for byte.  A
 change that moves one of them has to regenerate the file and say why.
 
 The commands run in a fresh interpreter, as they do from a shell: the
-campaigns' sanitizers record a backtrace per acquired resource, and
-pytest's deep stack would make that more than twice as slow in-process.
+report checked is what the command writes, not what it writes after
+whatever the tests before it left in the process.
 """
 
 import os

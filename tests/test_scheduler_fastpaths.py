@@ -1,11 +1,14 @@
-"""Event-kernel fast paths: timer wheel and now-queue.
+"""Event-kernel fast paths: one FIFO bucket per pending timestamp.
 
-The scheduler keeps three containers (now-queue, timer wheel, binary heap)
-that must be observationally identical to the single seq-keyed heap they
-replaced.  These tests pin the contract from the outside: far-horizon
-spill ordering, batched same-tick dispatch, re-entry, a clock that never
-goes backwards, and a hypothesis differential of the one fast drain loop,
-through both of its entry points, against the keyed (historical) loops.
+The scheduler files each action under its time, in push order, next to a
+heap of the distinct pending times; that must be observationally
+identical to the single seq-keyed heap it replaced.  These tests pin the
+contract from the outside: push order for timers far and near, batched
+same-tick dispatch, a walk cut short by a raising action, re-entry, a
+clock that never goes backwards, and a hypothesis differential of the one
+fast drain loop against the keyed (historical) loops, through both entry
+points and across stops by event, time, ``max_events`` and a raising
+action.
 """
 
 import pytest
@@ -13,34 +16,36 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.simkernel import Simulator
 from repro.simkernel.errors import SimulationError
-from repro.simkernel.scheduler import _WHEEL_SHIFT, _WHEEL_SLOTS
 from repro.simkernel.tiebreak import FifoTieBreak
 
-#: one wheel rotation in ticks; anything scheduled at least this far ahead
-#: of ``now`` must spill to the binary heap
-HORIZON = _WHEEL_SLOTS << _WHEEL_SHIFT
+#: delay regimes kept from the timer-wheel kernel the buckets replaced: one
+#: 4096-tick wheel slot, and the 1,048,576-tick horizon past which timers
+#: spilled to a second heap
+SLOT = 4096
+HORIZON = 1_048_576
 
 
 class TestFarHorizonSpill:
+    """Timers far and near: one order, push order within a time, whatever
+    the delay."""
+
     def test_heap_and_wheel_merge_in_fifo_order(self):
-        """Entries pushed beyond the horizon (heap) and within it (wheel)
-        for the *same* target time run in push order: heap entries were
-        pushed earlier (the time was farther away), so they go first."""
+        """An action pushed for T while T is a horizon away and one pushed
+        for T from close by run in push order."""
         sim = Simulator()
         log = []
         target = HORIZON + 500
-        sim.call_at(target, log.append, "pushed-far")   # beyond horizon -> heap
+        sim.call_at(target, log.append, "pushed-far")
         sim.call_at(target - 10, _advance_then, sim, target, log)
         sim.run()
         assert log == ["pushed-far", "pushed-near"]
 
     def test_spill_boundary(self):
-        """One tick inside the horizon stays in the wheel; the first tick
-        at the horizon spills — both fire, in time order."""
+        """Timers either side of the old horizon fire in time order."""
         sim = Simulator()
         log = []
-        inside = ((_WHEEL_SLOTS - 1) << _WHEEL_SHIFT)
-        outside = HORIZON << 1
+        inside = HORIZON - SLOT
+        outside = 2 * HORIZON
         sim.call_at(outside, log.append, "outside")
         sim.call_at(inside, log.append, "inside")
         sim.run()
@@ -48,7 +53,7 @@ class TestFarHorizonSpill:
         assert sim.now == outside
 
     def test_many_horizons_of_timers(self):
-        """Timers spread over several wheel rotations all fire, in order."""
+        """Timers spread over several horizons all fire, in order."""
         sim = Simulator()
         times = []
         whens = [i * (HORIZON // 3) + 1 for i in range(12)]
@@ -59,8 +64,8 @@ class TestFarHorizonSpill:
 
 
 def _advance_then(sim, target, log):
-    # Runs at target-10: schedules for `target`, now *within* the horizon,
-    # after the far entry for the same time already sits in the heap.
+    # Runs at target-10: schedules for `target` after the far entry for the
+    # same time was filed.
     sim.call_at(target, log.append, "pushed-near")
 
 
@@ -135,17 +140,46 @@ class TestReentry:
         assert sim.now == 6
 
 
+class TestWalkCutShort:
+    """An action that raises has run: it leaves its bucket, uncounted, and
+    the rest of the bucket waits for the next run, on the fast loop and the
+    keyed loop alike."""
+
+    @pytest.mark.parametrize("policy", [None, FifoTieBreak], ids=["fast", "keyed"])
+    def test_raising_action_runs_once_and_is_not_counted(self, policy):
+        sim = Simulator(tiebreak=policy() if policy is not None else None)
+        log = []
+
+        def boom():
+            log.append("boom")
+            sim.call_soon(log.append, "soon")
+            raise RuntimeError("boom")
+
+        sim.call_at(7, log.append, "a")
+        sim.call_at(7, boom)
+        sim.call_at(7, log.append, "c")
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert (log, sim.now, sim.events_processed, sim.peek()) == (
+            ["a", "boom"], 7, 1, 7)
+        assert sim.run() == 7
+        assert log == ["a", "boom", "c", "soon"]
+        assert (sim.events_processed, sim.peek()) == (3, None)
+
+
 # ---------------------------------------------------------------------------
-# differential oracle: fast containers vs the keyed (historical) heap loop
+# differential oracle: the bucket map vs the keyed (historical) heap loops
 # ---------------------------------------------------------------------------
 
 #: one schedule instruction: (delay-ish value, spawn-children?).  Delays are
-#: drawn across all three container regimes: 0 (now-queue), small (wheel),
-#: and beyond-horizon (heap spill).
+#: drawn across the regimes: 0 (the current time's bucket), a few ticks
+#: (future buckets shared by several actions), within one slot, below and
+#: beyond the horizon.
 _op = st.tuples(
     st.one_of(
         st.just(0),
-        st.integers(min_value=1, max_value=1 << _WHEEL_SHIFT),
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=SLOT),
         st.integers(min_value=1, max_value=HORIZON - 1),
         st.integers(min_value=HORIZON, max_value=3 * HORIZON),
     ),
@@ -153,15 +187,23 @@ _op = st.tuples(
 )
 
 
+class _Boom(Exception):
+    """The error of the drawn raising action, and of a failed stop event."""
+
+
 def _run_program(sim: Simulator, program, entry: str, stop: int,
-                 resume_delay: int) -> tuple[list, list]:
+                 stop_fails: bool, resume_delay: int, raise_at,
+                 max_events) -> tuple[list, list]:
     """Execute a schedule program through one entry point.
 
     ``entry`` is ``"run"`` (drain), ``"run_until"`` (stop once action
-    ``stop`` has run, then drain) or ``"run(until=)"`` (run to time
-    ``stop``, then drain).  After a stop, one more action is pushed
-    ``resume_delay`` ahead, as a caller between two runs would.  Returns
-    the log and one ``(log length, clock, event count)`` mark per run.
+    ``stop`` has run; it fails the event if ``stop_fails``) or
+    ``"run(until=)"`` (run to time ``stop``); that first run also gets
+    ``max_events``.  Action ``raise_at`` raises after its pushes.  After
+    the first run one more action is pushed ``resume_delay`` ahead, as a
+    caller between two runs would, and ``run()`` resumes, again after each
+    error, until nothing is pending.  Returns the log and one ``(error,
+    log length, clock, event count, peek())`` mark per run.
     """
     log = []
     marks = []
@@ -170,25 +212,37 @@ def _run_program(sim: Simulator, program, entry: str, stop: int,
     def action(idx, delay, spawn):
         log.append((sim.now, idx))
         if entry == "run_until" and idx == stop:
-            stopped.succeed()
+            if stop_fails:
+                stopped.fail(_Boom("stop"))
+            else:
+                stopped.succeed()
         if spawn:
             # re-schedule from inside a callback: same tick and future,
             # exercising the mid-drain push rules
             sim.call_soon(log.append, (sim.now, (idx, "soon")))
             sim.call_at(sim.now + 1 + (delay % 97), log.append,
                         (sim.now + 1 + (delay % 97), (idx, "later")))
+        if idx == raise_at:
+            raise _Boom(idx)
+
+    def drive(run, *args):
+        error = None
+        try:
+            run(*args)
+        except (_Boom, SimulationError) as err:
+            error = type(err).__name__
+        marks.append((error, len(log), sim.now, sim.events_processed,
+                      sim.peek()))
 
     for idx, (delay, spawn) in enumerate(program):
         sim.call_at(sim.now + delay, action, idx, delay, spawn)
-    if entry != "run":
-        if entry == "run_until":
-            sim.run_until(stopped)
-        else:
-            sim.run(until=stop)
-        marks.append((len(log), sim.now, sim.events_processed))
-        sim.call_at(sim.now + resume_delay, log.append, (sim.now, "resume"))
-    sim.run()
-    marks.append((len(log), sim.now, sim.events_processed))
+    if entry == "run_until":
+        drive(sim.run_until, stopped, max_events)
+    else:
+        drive(sim.run, stop, max_events)
+    sim.call_at(sim.now + resume_delay, log.append, (sim.now, "resume"))
+    while sim.peek() is not None:
+        drive(sim.run)
     return log, marks
 
 
@@ -196,20 +250,27 @@ def _run_program(sim: Simulator, program, entry: str, stop: int,
           suppress_health_check=[HealthCheck.too_slow])
 @given(program=st.lists(_op, min_size=1, max_size=40),
        stop_at=st.integers(min_value=0, max_value=39),
+       stop_fails=st.booleans(),
        until=st.integers(min_value=0, max_value=4 * HORIZON),
-       resume_delay=st.sampled_from([0, 1, 1 << _WHEEL_SHIFT, HORIZON]))
-def test_wheel_heap_nowq_identical_to_keyed_heap(program, stop_at, until,
-                                                  resume_delay):
-    """The three-container kernel replays any schedule program with the
-    exact order, clock, and event count of the single keyed heap (the
+       resume_delay=st.sampled_from([0, 1, SLOT, HORIZON]),
+       raise_at=st.none() | st.integers(min_value=0, max_value=39),
+       max_events=st.none() | st.integers(min_value=1, max_value=80))
+def test_bucket_map_identical_to_keyed_heap(program, stop_at, stop_fails,
+                                            until, resume_delay, raise_at,
+                                            max_events):
+    """The bucket-map kernel replays any schedule program with the exact
+    order, clock, event count and ``peek()`` of the single keyed heap (the
     historical drain loops, forced via an explicit FIFO policy), through
     each entry point: ``run()``, ``run_until(ev)`` stopped by a drawn
-    action, and ``run(until=T)``, each stop followed by ``run()``."""
+    action that succeeds or fails ``ev``, and ``run(until=T)``, each also
+    cut short by a drawn ``max_events`` or a drawn raising action and then
+    resumed by ``run()``."""
     for entry, stop in (("run", None), ("run_until", stop_at % len(program)),
                         ("run(until=)", until)):
-        fast = _run_program(Simulator(), program, entry, stop, resume_delay)
-        keyed = _run_program(Simulator(tiebreak=FifoTieBreak()), program,
-                             entry, stop, resume_delay)
+        args = (program, entry, stop, stop_fails, resume_delay, raise_at,
+                max_events)
+        fast = _run_program(Simulator(), *args)
+        keyed = _run_program(Simulator(tiebreak=FifoTieBreak()), *args)
         assert fast == keyed, entry
 
 

@@ -3,7 +3,8 @@
 The contract under test, in order of importance:
 
 1. the **default is bit-identical FIFO** — no policy installed means the
-   historical heap tuples, push path, and schedules;
+   class push path, one FIFO bucket per pending time, and the historical
+   schedules;
 2. an explicit :class:`FifoTieBreak` is observationally the same as the
    default;
 3. :class:`SeededShuffleTieBreak` permutes only same-timestamp ties, is a
@@ -40,18 +41,32 @@ def test_default_is_fifo():
 
 
 def test_default_path_is_untouched():
-    """No policy → the class-level push, int keys, no per-push indirection."""
+    """No policy → the class-level push: no per-push indirection, and each
+    action filed as ``(fn, args)`` under its own time, in push order."""
     sim = Simulator()
     assert "_push" not in sim.__dict__  # class method, not a closure
-    sim.call_at(5, lambda: None)
-    # Near-future entries land in the timer wheel; the key is still the
-    # historical (time, seq) pair with a plain int sequence number.
-    when, key, _fn, _args = sim._wheel[(5 >> 12) & 255][0]
-    assert (when, key) == (5, 1)
-    # Far-horizon entries spill to the binary heap with the same key shape.
-    sim.call_at(10_000_000, lambda: None)
-    when, key, _fn, _args = sim._heap[0]
-    assert (when, key) == (10_000_000, 2)
+
+    def f(*_):
+        pass
+
+    sim.call_at(5, f)
+    assert sim._buckets == {5: [(f, ())]}
+    assert sim._seq == 1
+    # A timer 10 ms ahead files under its own time, like a near one.
+    sim.call_at(10_000_000, f, 1)
+    assert sim._buckets[10_000_000] == [(f, (1,))]
+    assert sim._seq == 2
+    # A same-tick push is filed too, but `_seq` counts future pushes only.
+    sim.call_soon(f)
+    assert sim._buckets[0] == [(f, ())]
+    assert sim._seq == 2
+    # A second push for a filed time appends; the time heap holds each
+    # pending time once.
+    sim.call_at(5, f, 2)
+    assert sim._buckets[5] == [(f, ()), (f, (2,))]
+    assert sim._seq == 3
+    assert sorted(sim._times) == [0, 5, 10_000_000]
+    assert sim.peek() == 0
 
 
 def test_explicit_fifo_matches_default():
