@@ -19,7 +19,7 @@ def main() -> None:
     size = 2 * MiB
     tb = build_testbed(ioat_enabled=True)
     injector = LossInjector(predicate=lambda frame, i: i % 23 == 7)
-    tb.link.inject_loss(True, injector)  # drop ~4 % of data-direction frames
+    tb.link.inject_fault(True, injector)  # drop ~4 % of data-direction frames
 
     ep0, ep1 = tb.open_endpoint(0, 0), tb.open_endpoint(1, 0)
     c0, c1 = tb.user_core(0), tb.user_core(1)

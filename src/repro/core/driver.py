@@ -328,13 +328,7 @@ class OmxDriver:
         sent — the peer is dead, there is nobody to tell.
         """
         for handle in handles_for_peer(self._pulls, peer):
-            yield from self.offload.cleanup(core, handle.offload)
-            if handle.offload.pending:
-                yield from self.offload.wait_all(core, handle.offload)
-            handle.done = True
-            self._pulls.pop(handle.id, None)
-            if handle.pinned is not None:
-                yield from self.host.regcache.release(core, handle.pinned, "bh")
+            yield from self._drain_pull(core, handle, "bh")
             self._fail_request(handle.endpoint, handle.req, err)
         for msg_id in sorted(m for m, s in self._large_sends.items()
                              if s.req.peer == peer):
@@ -350,11 +344,15 @@ class OmxDriver:
         state = self._large_sends.pop(msg_id, None)
         if state is None:
             return None
+        yield from self._release_send_pins(core, state)
+        self._fail_request(state.endpoint, state.req, err)
+        return None
+
+    def _release_send_pins(self, core: "Core", state: _LargeSendState) -> Generator:
+        """Release a large send's pins: one region, or one per segment."""
         pins = state.pinned if isinstance(state.pinned, list) else [state.pinned]
         for p in pins:
             yield from self.host.regcache.release(core, p, "bh")
-        self._fail_request(state.endpoint, state.req, err)
-        return None
 
     def _fail_request(self, ep: "OmxEndpoint", req: OmxRequest, err: Exception) -> None:
         """Surface a typed error on ``req`` and complete it via the ring.
@@ -504,13 +502,7 @@ class OmxDriver:
         try:
             mine = [h for h in self._pulls.values() if h.endpoint is ep]
             for handle in mine:
-                yield from self.offload.cleanup(core, handle.offload)
-                if handle.offload.pending:
-                    yield from self.offload.wait_all(core, handle.offload)
-                handle.done = True
-                self._pulls.pop(handle.id, None)
-                if handle.pinned is not None:
-                    yield from self.host.regcache.release(core, handle.pinned, "driver")
+                yield from self._drain_pull(core, handle, "driver")
             if self.kmatch is not None:
                 yield from self.kmatch.cmd_close_endpoint(core, ep)
         finally:
@@ -574,13 +566,7 @@ class OmxDriver:
         """Tear down a hopeless pull: drain offload state, free resources,
         fail the request with :class:`PullAborted`, NACK the sender."""
         self.pull_aborts += 1
-        yield from self.offload.cleanup(core, handle.offload)
-        if handle.offload.pending:
-            yield from self.offload.wait_all(core, handle.offload)
-        handle.done = True
-        self._pulls.pop(handle.id, None)
-        if handle.pinned is not None:
-            yield from self.host.regcache.release(core, handle.pinned, "bh")
+        yield from self._drain_pull(core, handle, "bh")
         self._fail_request(ep, handle.req, PullAborted(
             handle.peer, handle.msg_id, handle.received, handle.total,
             handle.retransmits,
@@ -593,6 +579,18 @@ class OmxDriver:
         self._tx_session(ep.addr.endpoint, handle.peer).stamp(pkt)
         yield from self._xmit_packet(core, pkt, "bh")
         return None
+
+    def _drain_pull(self, core: "Core", handle: PullHandle,
+                    category: str) -> Generator:
+        """Abandon a pull: the §III-B cleanup, a wait for the copies it
+        could not release, then retire the handle and release its pin."""
+        yield from self.offload.cleanup(core, handle.offload)
+        if handle.offload.pending:
+            yield from self.offload.wait_all(core, handle.offload)
+        handle.done = True
+        self._pulls.pop(handle.id, None)
+        if handle.pinned is not None:
+            yield from self.host.regcache.release(core, handle.pinned, category)
 
     def _finish_pull(self, core: "Core", ep: "OmxEndpoint", handle: PullHandle,
                      category: str) -> Generator:
@@ -719,9 +717,7 @@ class OmxDriver:
         if state is None:
             return None
         state.req.xfer_length = state.req.length
-        pins = state.pinned if isinstance(state.pinned, list) else [state.pinned]
-        for p in pins:
-            yield from self.host.regcache.release(core, p, "bh")
+        yield from self._release_send_pins(core, state)
         ep.post_event(OmxEvent(EvType.SEND_DONE, peer=pkt.src, req=state.req))
         return None
 

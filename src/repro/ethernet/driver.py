@@ -88,21 +88,25 @@ class SoftirqEngine:
                 core.account("bh", dispatch, "irq_dispatch")
                 batch = 1
                 while True:
-                    # Per-packet dispatch with _handle's slow path (span
-                    # construction) peeled off: when no recorder is armed
-                    # the protocol callback is delegated to directly — one
-                    # generator frame less per packet.
-                    if self.trace is not None and self.trace.enabled:
-                        yield from self._handle(core, skb)
+                    frame = skb.frame
+                    handler = handlers.get(frame.ethertype if frame else -1)
+                    if handler is None:
+                        self.unhandled += 1
+                        skb.free()
                     else:
-                        frame = skb.frame
-                        handler = handlers.get(frame.ethertype if frame else -1)
-                        if handler is None:
-                            self.unhandled += 1
-                            skb.free()
+                        # A BH span is built only while a recorder is on,
+                        # so tracing costs nothing when off.
+                        tr = self.trace
+                        if tr is not None and tr.enabled:
+                            start = self.sim.now
+                            label = getattr(frame.payload, "describe",
+                                            lambda: "pkt")()
+                            yield from handler(core, skb)
+                            tr.record(f"CPU#{core.cpu_id}", label.split(" ")[0],
+                                      start, self.sim.now, "bh")
                         else:
                             yield from handler(core, skb)
-                            self.packets_handled += 1
+                        self.packets_handled += 1
                     if batch >= NAPI_BUDGET:
                         break
                     ok, skb = queue.try_get()
@@ -119,22 +123,3 @@ class SoftirqEngine:
     def irq_dispatch_cost(self) -> int:
         """CPU cost of the hardirq entry + softirq switch, paid per batch."""
         return self.dispatch_cost
-
-    def _handle(self, core: "Core", skb: Skbuff) -> Generator:
-        frame = skb.frame
-        handler = self._handlers.get(frame.ethertype if frame else -1)
-        if handler is None:
-            self.unhandled += 1
-            skb.free()
-            return
-        # Span construction (describe() + label split) happens only when the
-        # recorder is enabled, so tracing is truly zero-cost when off.
-        tracing = self.trace is not None and self.trace.enabled
-        if tracing:
-            start = self.sim.now
-            label = getattr(frame.payload, "describe", lambda: "pkt")() if frame else "pkt"
-        yield from handler(core, skb)
-        if tracing:
-            self.trace.record(f"CPU#{core.cpu_id}", label.split(" ")[0],
-                              start, self.sim.now, "bh")
-        self.packets_handled += 1

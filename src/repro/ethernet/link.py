@@ -1,29 +1,29 @@
 """Point-to-point full-duplex Ethernet link with fault injection.
 
-Each direction serializes frames at the link rate (a transmitter resource),
-then delivers after a propagation delay.  A :class:`LossInjector` can drop
-selected frames — used by the tests that exercise the pull protocol's
-retransmission path (§III-B: the cleanup routine "is also invoked when the
-retransmission timeout expires in case of packet loss").
+Each direction serializes frames at the link rate, then delivers after a
+propagation delay.  Every frame takes one path: its serialization-done
+action is scheduled when it is sent, and that action schedules one
+delivery per copy the fault hook lets through.
 
-Beyond plain loss, a direction can carry a *frame fault hook* (see
-:meth:`Link.inject_fault`): a per-frame verdict deciding drop, duplication,
-reordering (extra delivery delay) and corruption (bad FCS, dropped by the
-receiving NIC).  :mod:`repro.faults` builds seeded, schedule-driven plans on
-top of this hook; the hook itself is deliberately dumb and deterministic —
-it is consulted once per serialized frame, in wire order.
+A direction can carry one *frame fault hook* (see :meth:`Link.inject_fault`):
+a per-frame verdict deciding drop, duplication, reordering (extra delivery
+delay) and corruption (bad FCS, dropped by the receiving NIC).
+:class:`LossInjector` is the plain dropping hook used by the tests that
+exercise the pull protocol's retransmission path (§III-B: the cleanup
+routine "is also invoked when the retransmission timeout expires in case of
+packet loss"); :mod:`repro.faults` builds seeded, schedule-driven plans on
+the same hook.  A hook is deliberately dumb and deterministic — it is
+consulted once per serialized frame, in wire order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Protocol
 
 from repro import units
 from repro.ethernet.frame import EthernetFrame
 from repro.simkernel.event import Event
-from repro.units import SEC
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ethernet.nic import Nic
@@ -50,6 +50,8 @@ class FrameVerdict:
 
 #: the no-fault verdict, shared (hooks return it for untouched frames)
 DELIVER = FrameVerdict()
+#: the plain drop verdict, shared by :class:`LossInjector`
+_DROP = FrameVerdict(deliver=False)
 
 
 class FrameFaultHook(Protocol):
@@ -61,10 +63,11 @@ class FrameFaultHook(Protocol):
 
 
 class LossInjector:
-    """Decides which frames to drop.
+    """A frame fault hook that only drops frames.
 
     ``drop_indices`` drops the Nth transmitted frames (0-based, per link
     direction); ``predicate`` drops frames matching an arbitrary test.
+    Arm it with :meth:`Link.inject_fault`; ``dropped`` counts the drops.
     """
 
     def __init__(
@@ -76,13 +79,13 @@ class LossInjector:
         self.predicate = predicate
         self.dropped = 0
 
-    def should_drop(self, frame: EthernetFrame, index: int) -> bool:
-        drop = index in self.drop_indices or (
+    def on_frame(self, frame: EthernetFrame, index: int, now: int) -> FrameVerdict:
+        if index in self.drop_indices or (
             self.predicate is not None and self.predicate(frame, index)
-        )
-        if drop:
+        ):
             self.dropped += 1
-        return drop
+            return _DROP
+        return DELIVER
 
 
 class _Direction:
@@ -92,19 +95,10 @@ class _Direction:
     :class:`~repro.simkernel.resources.Resource`: frames queue in call
     order and each occupies the wire for its serialization time, but no
     generator :class:`~repro.simkernel.process.Process` (and no per-frame
-    Event chain) is allocated.
-
-    **Burst coalescing.**  While no loss injector, fault hook, trace
-    recorder or tie-break policy is armed, back-to-back frames ride a
-    *cursor train*: the per-frame completion records go on a plain deque
-    and a single self-rescheduling scheduler entry (the cursor) walks the
-    train, so a burst of N frames keeps at most one TX and one delivery
-    entry in the scheduler at a time instead of 2·N.  The cursor fires
-    once per frame per stage — the executed action count is identical to
-    the per-frame path.  The moment any hook is attached (``inject_loss``
-    / ``inject_fault`` / tracing), new frames take the per-frame slow
-    path; hooks are *consulted at serialization-done time* in both paths,
-    so arming one mid-burst still sees every not-yet-serialized frame.
+    Event chain) is allocated.  Each frame costs one scheduler entry when
+    it finishes serializing and one per delivered copy.  The fault hook
+    and the trace recorder are consulted at serialization-done time, so a
+    hook armed mid-burst sees every frame not yet serialized.
     """
 
     def __init__(self, sim: "Simulator", bw: float, delay: int, name: str):
@@ -115,8 +109,7 @@ class _Direction:
         #: absolute time the serializer becomes idle (timestamp FIFO)
         self._tx_free_at = 0
         self.sink: Optional["Nic"] = None
-        self.loss: Optional[LossInjector] = None
-        #: generalized fault hook (drop/duplicate/reorder/corrupt)
+        #: the one fault hook (drop/duplicate/reorder/corrupt)
         self.fault: Optional[FrameFaultHook] = None
         #: optional TraceRecorder: serialized frames become "wire:" spans,
         #: fault verdicts become instant events
@@ -126,12 +119,6 @@ class _Direction:
         #: wire_len -> serialization ticks (a handful of distinct frame
         #: sizes per run; the div/round in transfer_time is hot otherwise)
         self._ser_cache: dict[int, int] = {}
-        #: coalesced TX completions: (done_at, start, frame, cb, arg)
-        self._tx_train: deque = deque()
-        self._tx_armed = False
-        #: coalesced deliveries: (arrive, frame)
-        self._rx_train: deque = deque()
-        self._rx_armed = False
 
     def _ser_ticks(self, wire_len: int) -> int:
         t = self._ser_cache.get(wire_len)
@@ -145,7 +132,7 @@ class _Direction:
         """Serialize ``frame`` FIFO and schedule its delivery.
 
         ``on_serialized(ok)`` (if given) runs when the frame leaves the
-        wire-side serializer; ``ok`` is False when the loss injector dropped
+        wire-side serializer; ``ok`` is False when the fault hook dropped
         the frame.  With ``arg`` the callback becomes ``on_serialized(arg,
         ok)`` — lets callers pass a bound method plus its operand instead
         of allocating a closure.  No Process objects are allocated.
@@ -155,54 +142,21 @@ class _Direction:
         frame.sent_at = start
         done_at = start + self._ser_ticks(frame.wire_len)
         self._tx_free_at = done_at
-        if (self.loss is None and self.fault is None and self.trace is None
-                and sim.tiebreak is None):
-            self._tx_train.append((done_at, start, frame, on_serialized, arg))
-            if not self._tx_armed:
-                self._tx_armed = True
-                sim._push(done_at, self._tx_cursor)
-        else:
-            sim._push(done_at, self._tx_finish,
-                      (frame, start, on_serialized, arg))
-
-    def _tx_cursor(self) -> None:
-        """Retire the head of the TX train, then re-arm for the next frame.
-
-        Re-arming *after* the completion ran keeps the invariant simple: a
-        send() performed synchronously by the callback lands behind the
-        cursor's next stop, never ahead of it.
-        """
-        done_at, start, frame, cb, arg = self._tx_train.popleft()
-        self._tx_finish(frame, start, cb, arg)
-        if self._tx_train:
-            self.sim._push(self._tx_train[0][0], self._tx_cursor)
-        else:
-            self._tx_armed = False
+        sim._push(done_at, self._tx_finish, (frame, start, on_serialized, arg))
 
     def _tx_finish(self, frame: EthernetFrame, start: int,
                    cb: Optional[Callable[..., None]], arg: object) -> None:
-        """TX-done for one frame: verdicts, trace, delivery, callback.
-
-        Shared by the cursor train and the per-frame slow path; all hooks
-        are re-checked here (at serialization-done time), which is when the
-        historical per-frame closure consulted them.
-        """
+        """TX-done for one frame: verdict, trace, delivery, callback."""
         sim = self.sim
         index = self.frames_sent
         self.frames_sent += 1
         self.bytes_sent += frame.wire_len
-        delivered = not (
-            self.loss is not None and self.loss.should_drop(frame, index)
-        )
-        extra_delay = 0
-        copies = 1
-        if delivered and self.fault is not None:
+        verdict = DELIVER
+        if self.fault is not None:
             verdict = self.fault.on_frame(frame, index, sim.now)
-            delivered = verdict.deliver
-            extra_delay = verdict.delay
-            copies = 1 + verdict.duplicates
             if verdict.corrupt:
                 frame.corrupted = True
+        delivered = verdict.deliver
         tr = self.trace
         if tr is not None and tr.enabled:
             label = getattr(frame.payload, "describe", lambda: "frame")()
@@ -210,44 +164,25 @@ class _Direction:
             tr.record(lane, label.split(" ")[0], start, sim.now, "wire")
             if not delivered:
                 tr.instant(lane, "frame lost", "fault")
-            elif copies > 1 or extra_delay or frame.corrupted:
+            elif verdict.duplicates or verdict.delay or frame.corrupted:
                 tr.instant(lane, "frame faulted (dup/delay/corrupt)", "fault")
         if delivered:
             sink = self.sink
             if sink is not None:
-                arrive = sim.now + self.delay + extra_delay
-                if (self.loss is None and self.fault is None and tr is None
-                        and sim.tiebreak is None):
-                    # hooks clear => copies == 1, extra_delay == 0
-                    self._rx_train.append((arrive, frame))
-                    if not self._rx_armed:
-                        self._rx_armed = True
-                        sim._push(arrive, self._rx_cursor)
-                else:
-                    for _ in range(copies):
-                        sim._push(arrive, sink.on_frame, (frame,))
+                arrive = sim.now + self.delay + verdict.delay
+                for _ in range(1 + verdict.duplicates):
+                    sim._push(arrive, sink.on_frame, (frame,))
         if cb is not None:
             if arg is _NO_ARG:
                 cb(delivered)
             else:
                 cb(arg, delivered)
 
-    def _rx_cursor(self) -> None:
-        """Deliver the head of the RX train, then re-arm for the next frame."""
-        arrive, frame = self._rx_train.popleft()
-        sink = self.sink
-        if sink is not None:
-            sink.on_frame(frame)
-        if self._rx_train:
-            self.sim._push(self._rx_train[0][0], self._rx_cursor)
-        else:
-            self._rx_armed = False
-
     def transmit(self, frame: EthernetFrame) -> Generator:
         """Generator façade over :meth:`send` (yieldable from processes).
 
-        Returns True once the frame finished serializing, False if the loss
-        injector dropped it.
+        Returns True once the frame finished serializing, False if a fault
+        hook dropped it.
         """
         done = Event(self.sim, "link.transmit")
         self.send(frame, done.succeed)
@@ -272,14 +207,13 @@ class Link:
         nic_a._egress = self.a_to_b
         nic_b._egress = self.b_to_a
 
-    def inject_loss(self, direction_a2b: bool, injector: LossInjector) -> None:
-        """Arm fault injection on one direction."""
-        (self.a_to_b if direction_a2b else self.b_to_a).loss = injector
-
     def inject_fault(self, direction_a2b: bool, hook: FrameFaultHook) -> None:
-        """Arm a generalized frame-fault hook on one direction.
+        """Arm the frame fault hook of one direction.
 
-        Composes with :meth:`inject_loss`: the loss injector is consulted
-        first, the hook only sees frames the injector delivered.
+        A direction carries one hook; arming a second raises
+        :class:`ValueError` rather than silently replacing the first.
         """
-        (self.a_to_b if direction_a2b else self.b_to_a).fault = hook
+        d = self.a_to_b if direction_a2b else self.b_to_a
+        if d.fault is not None:
+            raise ValueError(f"{d.name} already carries a frame fault hook")
+        d.fault = hook

@@ -332,8 +332,6 @@ class FabricNetwork:
         self._dead_hosts: set[str] = set()
         self._dead_rank_of: dict[str, int] = {}
         self._death_at: dict[str, int] = {}
-        #: aggregate simulated CPU/DMA ticks spent in the fabric data plane
-        self.cpu_ticks = {"fabric_send": 0, "fabric_rx": 0, "fabric_dma": 0}
         #: delivery/failure callback installed by the MPI layer
         self.on_complete: Optional[Callable[[_Message], None]] = None
         m = self.metrics
@@ -454,7 +452,6 @@ class FabricNetwork:
         msg.n_chunks = len(sizes)
         msg.rx_remaining = len(sizes)
         msg.tx_remaining = len(sizes)
-        self.cpu_ticks["fabric_send"] += self.cost.send_cpu(nbytes)
         if path is None:
             self._fail(msg, FabricPartitioned(src, dst, tag,
                                               where=self.routes.edge_of[src],
@@ -501,17 +498,12 @@ class FabricNetwork:
     def _after_rx_cpu(self, chunk: _Chunk) -> None:
         if chunk.msg.failed:
             return
-        self.cpu_ticks["fabric_rx"] += self._rx_ticks[chunk.size]
         self.rx_dma_port(chunk.msg.dst).enqueue(chunk)
 
     def _chunk_delivered(self, chunk: _Chunk) -> None:
         msg = chunk.msg
         if msg.failed:
             return
-        if self.cost.dma_bw:
-            self.cpu_ticks["fabric_dma"] += self._dma_ticks[chunk.size]
-        else:
-            self.cpu_ticks["fabric_rx"] += self._rx_ticks[chunk.size]
         msg.rx_remaining -= 1
         if msg.rx_remaining == 0:
             msg.t_done = self.sim.now

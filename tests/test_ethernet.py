@@ -2,17 +2,21 @@
 
 import pytest
 
+from repro import build_testbed
 from repro.ethernet.frame import ETHERTYPE_MX, EthernetFrame, frames_needed
-from repro.ethernet.link import Link, LossInjector
+from repro.ethernet.link import DELIVER, Link, LossInjector
+from repro.imb import run_imb
 from repro.ethernet.nic import Nic
 from repro.ethernet.skbuff import SkbuffPool
 from repro.memory.buffers import AddressSpace
 from repro.memory.bus import MemoryBus
 from repro.memory.cache import CacheDirectory
+from repro.mpi import create_world
 from repro.params import CacheParams, HostParams, NicParams
 from repro.simkernel import Simulator
+from repro.simkernel.tiebreak import FifoTieBreak, default_tiebreak
 from repro import units
-from repro.units import KiB
+from repro.units import KiB, MiB
 
 
 def frame(n=1000, src=1, dst=2):
@@ -140,7 +144,7 @@ class TestLink:
         got = []
         nics[1].frame_sink = lambda f: got.append(f)
         inj = LossInjector(drop_indices={1})
-        link.inject_loss(True, inj)
+        link.inject_fault(True, inj)
 
         def tx():
             for _ in range(3):
@@ -150,6 +154,51 @@ class TestLink:
         sim.run()
         assert len(got) == 2
         assert inj.dropped == 1
+
+
+class _PassThrough:
+    """A fault hook that delivers every frame and counts what it saw."""
+
+    def __init__(self):
+        self.seen = 0
+
+    def on_frame(self, frame, index, now):
+        assert index == self.seen
+        self.seen += 1
+        return DELIVER
+
+
+def _pingpong(size, hooked=False):
+    """IMB PingPong on the I/OAT testbed; returns what it observed, the
+    testbed and the pass-through hooks armed on both wire directions."""
+    tb = build_testbed(ioat_enabled=True)
+    hooks = []
+    if hooked:
+        for a2b in (True, False):
+            hooks.append(_PassThrough())
+            tb.link.inject_fault(a2b, hooks[-1])
+    res = run_imb(tb, create_world(tb, ppn=1), "PingPong", size,
+                  iterations=3, warmup=1)
+    seen = (tb.sim.events_processed, tb.sim.now, res.mib_s,
+            {h.name: h.metrics.snapshot() for h in tb.hosts})
+    return seen, tb, hooks
+
+
+class TestOneFramePath:
+    @pytest.mark.parametrize("size", [4 * KiB, 1 * MiB])
+    def test_hooks_and_policies_never_move_a_schedule(self, size):
+        """Every frame takes one path whatever watches it: a pass-through
+        hook on both directions, or the keyed FIFO policy, leaves events,
+        clock, throughput and every host counter as in the plain run."""
+        plain, _, _ = _pingpong(size)
+        hooked, tb, hooks = _pingpong(size, hooked=True)
+        with default_tiebreak(FifoTieBreak):
+            keyed, _, _ = _pingpong(size)
+        assert hooked == plain
+        assert keyed == plain
+        # the hook saw every frame each NIC put on its wire
+        assert [h.seen for h in hooks] == [h.nic.tx_frames for h in tb.hosts]
+        assert all(h.seen for h in hooks)
 
 
 class TestNicRxRing:

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro import build_testbed
 from repro.faults.campaign import (
     CampaignSpec,
     quick_campaign_spec,
@@ -16,6 +17,7 @@ from repro.faults.campaign import (
     run_cell,
     write_report,
 )
+from repro.faults.injectors import arm_plan
 from repro.faults.plan import (
     FaultPlan,
     IoatFaultSpec,
@@ -165,3 +167,23 @@ class TestReporting:
             switches=(SwitchFaultSpec(port=1, windows=((1, 2), (3, 4))),),
         )
         assert FaultPlan.from_dict(egress.to_dict()) == egress
+
+
+class TestArming:
+    def test_second_hook_on_one_wire_direction_is_refused(self):
+        """A wire direction has one hook slot: a second spec for it would
+        replace the first on the wire while both still counted as armed."""
+        twice = FaultPlan(name="twice", seed="arm", links=(
+            LinkFaultSpec(direction_a2b=True, drop_rate=0.1),
+            LinkFaultSpec(direction_a2b=True, dup_rate=0.1),
+        ))
+        with pytest.raises(ValueError, match="link.a2b"):
+            arm_plan(build_testbed(), twice)
+
+        tb = build_testbed()
+        both = FaultPlan(name="both", seed="arm", links=(
+            LinkFaultSpec(direction_a2b=True, drop_rate=0.1),
+            LinkFaultSpec(direction_a2b=False, drop_rate=0.1),
+        ))
+        armed = arm_plan(tb, both)
+        assert armed.frame_hooks == [tb.link.a_to_b.fault, tb.link.b_to_a.fault]

@@ -137,9 +137,9 @@ def _endtoend(size, a2b_pred=None, b2a_pred=None, until=ms(60)):
     """
     tb = build_testbed(ioat_enabled=True)
     if a2b_pred is not None:
-        tb.link.inject_loss(True, LossInjector(predicate=a2b_pred))
+        tb.link.inject_fault(True, LossInjector(predicate=a2b_pred))
     if b2a_pred is not None:
-        tb.link.inject_loss(False, LossInjector(predicate=b2a_pred))
+        tb.link.inject_fault(False, LossInjector(predicate=b2a_pred))
     ep0, ep1 = tb.open_endpoint(0, 0), tb.open_endpoint(1, 0)
     c0, c1 = tb.user_core(0), tb.user_core(1)
     sbuf = ep0.space.alloc(max(size, 1))

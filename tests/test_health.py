@@ -275,8 +275,8 @@ class TestPeerDeath:
         # traffic, so only liveness can rescue the sender.
         cut_at = us(120)
         dead = lambda f, i: tb.sim.now >= cut_at  # noqa: E731
-        tb.link.inject_loss(True, LossInjector(predicate=dead))
-        tb.link.inject_loss(False, LossInjector(predicate=dead))
+        tb.link.inject_fault(True, LossInjector(predicate=dead))
+        tb.link.inject_fault(False, LossInjector(predicate=dead))
         san = Sanitizer()
         for host in tb.hosts:
             san.watch_host(host)

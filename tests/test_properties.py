@@ -26,7 +26,7 @@ def _transfer(size: int, src_off: int, dst_off: int, drops=frozenset()):
 
     tb = build_testbed(ioat_enabled=True)
     if drops:
-        tb.link.inject_loss(True, LossInjector(drop_indices=set(drops)))
+        tb.link.inject_fault(True, LossInjector(drop_indices=set(drops)))
     ep0, ep1 = tb.open_endpoint(0, 0), tb.open_endpoint(1, 0)
     c0, c1 = tb.user_core(0), tb.user_core(1)
     sbuf = ep0.space.alloc(src_off + max(size, 1))

@@ -139,7 +139,7 @@ def _transfer_with_loss(size, drop_indices, direction_a2b=True, **omx):
     """One message node0 -> node1 with selected frames dropped."""
     tb = build_testbed(**omx)
     injector = LossInjector(drop_indices=drop_indices)
-    tb.link.inject_loss(direction_a2b, injector)
+    tb.link.inject_fault(direction_a2b, injector)
     ep0 = tb.open_endpoint(0, 0)
     ep1 = tb.open_endpoint(1, 0)
     c0, c1 = tb.user_core(0), tb.user_core(1)
@@ -196,7 +196,7 @@ class TestLossRecovery:
         # that's a PULL_REQ; the pull watchdog must re-issue it.
         tb = build_testbed()
         injector = LossInjector(drop_indices={1})
-        tb.link.inject_loss(False, injector)  # b_to_a carries PULL_REQs
+        tb.link.inject_fault(False, injector)  # b_to_a carries PULL_REQs
         ep0 = tb.open_endpoint(0, 0)
         ep1 = tb.open_endpoint(1, 0)
         c0, c1 = tb.user_core(0), tb.user_core(1)
@@ -224,7 +224,7 @@ class TestLossRecovery:
         # Drop every 9th frame in the data direction.
         tb = build_testbed()
         injector = LossInjector(predicate=lambda f, i: i % 9 == 4)
-        tb.link.inject_loss(True, injector)
+        tb.link.inject_fault(True, injector)
         ep0 = tb.open_endpoint(0, 0)
         ep1 = tb.open_endpoint(1, 0)
         c0, c1 = tb.user_core(0), tb.user_core(1)
