@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.lint import ModuleSource, is_generator
+from repro.analysis.lint import ModuleSource, is_generator, own_nodes
 
 __all__ = [
     "CallSite",
@@ -165,7 +165,7 @@ class Project:
     def _resolve_calls(self, info: ModuleInfo) -> None:
         source = info.source
         for fi in info.functions.values():
-            for node in _own_nodes_no_defs(fi.node):
+            for node in own_nodes(fi.node):
                 if not isinstance(node, ast.Call):
                     continue
                 site = CallSite(node, source.dotted_name(node.func))
@@ -289,21 +289,6 @@ class TaintResult:
         end = self.path(qualname)[-1]
         entry = self.direct.get(end)
         return entry[0] if entry else None
-
-
-def _own_nodes_no_defs(fn: ast.FunctionDef) -> Iterator[ast.AST]:
-    """Walk ``fn``'s body without entering nested function definitions.
-
-    Unlike :func:`repro.analysis.lint.own_nodes` this does not *yield* the
-    nested defs either — their bodies belong to their own FunctionInfo.
-    """
-    todo: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        todo.extend(ast.iter_child_nodes(node))
 
 
 # ---------------------------------------------------------------------------

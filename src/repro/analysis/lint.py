@@ -152,29 +152,12 @@ def _collect_import_aliases(tree: ast.Module) -> Dict[str, str]:
 
 def is_generator(fn: ast.FunctionDef) -> bool:
     """True when ``fn`` itself contains a yield (nested defs excluded)."""
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not fn:
-            continue
-        if isinstance(node, (ast.Yield, ast.YieldFrom)) and _owner(fn, node):
-            return True
-    return False
-
-
-def _owner(fn: ast.FunctionDef, target: ast.AST) -> bool:
-    """True when ``target`` belongs to ``fn``'s own body, not a nested def."""
-    todo: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while todo:
-        node = todo.pop()
-        if node is target:
-            return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        todo.extend(ast.iter_child_nodes(node))
-    return False
+    return any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own_nodes(fn))
 
 
 def own_nodes(fn: ast.FunctionDef) -> Iterator[ast.AST]:
-    """Walk ``fn``'s body without descending into nested function defs."""
+    """Walk ``fn``'s body without descending into nested function defs
+    (the nested def or lambda node itself is yielded, its body is not)."""
     todo: List[ast.AST] = list(ast.iter_child_nodes(fn))
     while todo:
         node = todo.pop()

@@ -169,12 +169,9 @@ class Sanitizer:
     def watch_host(self, host: "Host") -> None:
         self.watch_pool(host.skb_pool)
         self.watch_nic(host.nic)
-        for channel in host.ioat_engine.channels:
-            self.watch_channel(channel)
-        # Lanes brought up by copy backends (repro.core.backends) after
-        # host construction are tracked like engine channels.
-        for channel in getattr(host, "extra_dma_channels", []):
-            self.watch_channel(channel)
+        for engine in host.dma_engines:
+            for channel in engine.channels:
+                self.watch_channel(channel)
         self.watch_pinner(host.pinner)
         self.watch_regcache(host.regcache)
 

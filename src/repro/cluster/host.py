@@ -61,10 +61,6 @@ class Host:
 
         self.ioat_engine = IoatEngine(sim, hp.ioat, caches=self.caches)
         self.ioat = IoatDmaApi(self.ioat_engine)
-        #: DMA lanes created by copy backends after host construction
-        #: (repro.core.backends); fault injectors and sanitizers enumerate
-        #: these exactly like the engine's own channels
-        self.extra_dma_channels: list = []
 
         self.kernel_space = AddressSpace(f"{self.name}.kernel")
         self.skb_pool = SkbuffPool(self.kernel_space)
@@ -81,12 +77,14 @@ class Host:
         self.trace = TraceRecorder(sim, enabled=False)
         self.softirq.trace = self.trace
         self.nic.trace = self.trace
-        for channel in self.ioat_engine.channels:
-            channel.trace = self.trace
 
-        #: per-channel I/OAT circuit breakers (repro.health, DESIGN.md §12);
-        #: wires itself onto every channel's ``health`` hook
+        #: per-channel I/OAT circuit breakers (repro.health, DESIGN.md §12)
         self.health = HostHealth(self)
+        #: every DMA engine of the host, the chipset's first, then those a
+        #: copy backend (repro.core.backends) adds; fault injectors and
+        #: sanitizers enumerate channels through this list
+        self.dma_engines: list[IoatEngine] = []
+        self.add_dma_engine(self.ioat_engine)
 
         #: per-host metrics registry: every component publishes its counters
         #: here; :func:`repro.core.counters.collect_counters` snapshots it
@@ -116,6 +114,15 @@ class Host:
                     lambda: self.trace.dropped_spans,
                     "spans evicted by the recorder's ring-buffer cap")
         self.health.register_metrics(reg)
+
+    def add_dma_engine(self, engine: IoatEngine) -> IoatEngine:
+        """Wire ``engine``'s channels into this host: the trace recorder
+        and a circuit breaker each.  The one way a DMA channel joins."""
+        for channel in engine.channels:
+            channel.trace = self.trace
+            self.health.adopt(channel)
+        self.dma_engines.append(engine)
+        return engine
 
     # -- topology helpers ---------------------------------------------------
 

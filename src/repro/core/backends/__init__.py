@@ -9,7 +9,6 @@ from repro.core.backends.base import (
     BACKENDS,
     CopyBackend,
     LaneBackend,
-    LaneGroup,
     LaneTicket,
     backend_names,
     create_backend,
@@ -25,7 +24,6 @@ __all__ = [
     "BACKENDS",
     "CopyBackend",
     "LaneBackend",
-    "LaneGroup",
     "LaneTicket",
     "backend_names",
     "create_backend",

@@ -20,14 +20,14 @@ DMA model — through calls scattered over ``copy_fragment``/``cleanup``/
   circuit breaker, whatever backend submitted them.
 
 Backends that bring their own execution lanes (FlexTOE, sPIN, SG-DMA)
-build them as :class:`LaneGroup`\\ s of ordinary
-:class:`~repro.ioat.channel.DmaChannel` servers with re-derived parameters:
-the channels keep their trace/observer/health hooks, so Perfetto lanes,
-sanitizers, circuit breakers (adopted via
-:meth:`repro.health.breaker.HostHealth.adopt`) and fault injectors all work
-on every backend for free.  Lane construction allocates no simulator events
-and no kernel-space memory — selecting the I/OAT backend is
-schedule-identical to the pre-refactor code.
+build them as one more :class:`~repro.ioat.engine.IoatEngine` with
+re-derived parameters and a disjoint ``index_base``, and wire it in with
+:meth:`repro.cluster.host.Host.add_dma_engine` like the chipset's: the
+lanes get the trace hook and a circuit breaker there, and sanitizers and
+fault injectors reach them through ``host.dma_engines``.  Lane
+construction allocates no simulator events and no kernel-space memory —
+selecting the I/OAT backend is schedule-identical to the pre-refactor
+code.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Generator
 
 from repro.ioat.api import DmaCookie, IoatDmaApi
 from repro.ioat.channel import DmaChannel
+from repro.ioat.engine import IoatEngine
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
@@ -79,57 +80,6 @@ def create_backend(host: "Host", config: "OmxConfig") -> "CopyBackend":
 # ---------------------------------------------------------------------------
 # multi-lane plumbing
 # ---------------------------------------------------------------------------
-
-
-class LaneGroup:
-    """A private set of DMA lanes owned by one backend.
-
-    Quacks like :class:`~repro.ioat.engine.IoatEngine` (``params``,
-    ``channels``, ``allocate_channel``) so :class:`~repro.ioat.api.
-    IoatDmaApi` and the manager's round-robin assignment work unchanged.
-    ``index_base`` keeps lane indices (and thus trace lane names, metric
-    names and breaker identities) disjoint from the host engine's channels.
-    """
-
-    def __init__(self, host: "Host", params: "IoatParams", n_lanes: int,
-                 index_base: int):
-        self.sim = host.sim
-        self.params = params
-        self.channels = [
-            DmaChannel(host.sim, params, index=index_base + i,
-                       caches=host.caches)
-            for i in range(n_lanes)
-        ]
-        self._rr = 0
-        for ch in self.channels:
-            ch.trace = host.trace
-            # Published on the host so fault injectors and sanitizers
-            # enumerate backend lanes exactly like engine channels.
-            host.extra_dma_channels.append(ch)
-            host.health.adopt(ch)
-
-    def __len__(self) -> int:
-        return len(self.channels)
-
-    def __getitem__(self, i: int) -> DmaChannel:
-        return self.channels[i]
-
-    def allocate_channel(self) -> DmaChannel:
-        ch = self.channels[self._rr % len(self.channels)]
-        self._rr += 1
-        return ch
-
-    @property
-    def bytes_copied(self) -> int:
-        return sum(c.bytes_copied for c in self.channels)
-
-    @property
-    def descriptors_completed(self) -> int:
-        return sum(c.descriptors_completed for c in self.channels)
-
-    @property
-    def descriptors_failed(self) -> int:
-        return sum(c.descriptors_failed for c in self.channels)
 
 
 @dataclass(frozen=True)
@@ -183,8 +133,8 @@ class CopyBackend:
     def __init__(self, host: "Host", config: "OmxConfig"):
         self.host = host
         self.config = config
-        #: channel source for per-message assignment (round-robin); the
-        #: host engine by default, a private LaneGroup for lane backends
+        #: channel source for per-message assignment (round-robin): the
+        #: host's chipset engine, or a lane backend's own engine
         self.engine = host.ioat_engine
         #: submission/polling facade whose params price this backend
         self.api = host.ioat
@@ -246,21 +196,21 @@ class CopyBackend:
 
 
 class LaneBackend(CopyBackend):
-    """Shared machinery for backends that own a private :class:`LaneGroup`.
+    """A backend that brings its own lanes: an :class:`~repro.ioat.engine.
+    IoatEngine` built from ``lane_params()`` (whose ``channels`` is the lane
+    count), numbered from ``index_base`` and added to the host.
 
-    Subclasses define ``lane_params()``, ``n_lanes`` and ``index_base``;
-    submission is still theirs to model.
+    Submission is still the subclass's to model.
     """
 
-    n_lanes = 1
     index_base = 100
 
     def __init__(self, host: "Host", config: "OmxConfig"):
         super().__init__(host, config)
-        self.lanes = LaneGroup(host, self.lane_params(host), self.n_lanes,
-                               self.index_base)
-        self.engine = self.lanes
-        self.api = IoatDmaApi(self.lanes)
+        self.engine = host.add_dma_engine(IoatEngine(
+            host.sim, self.lane_params(host), caches=host.caches,
+            index_base=self.index_base))
+        self.api = IoatDmaApi(self.engine)
 
     def lane_params(self, host: "Host") -> "IoatParams":
         raise NotImplementedError
@@ -268,10 +218,10 @@ class LaneBackend(CopyBackend):
     def register_metrics(self, reg) -> None:
         name = self.name
         reg.counter("backend", f"backend_{name}_bytes",
-                    lambda: self.lanes.bytes_copied)
+                    lambda: self.engine.bytes_copied)
         reg.counter("backend", f"backend_{name}_descriptors",
-                    lambda: self.lanes.descriptors_completed)
+                    lambda: self.engine.descriptors_completed)
         reg.counter("backend", f"backend_{name}_descriptors_failed",
-                    lambda: self.lanes.descriptors_failed)
-        for ch in self.lanes.channels:
+                    lambda: self.engine.descriptors_failed)
+        for ch in self.engine.channels:
             ch.register_metrics(reg)

@@ -22,8 +22,6 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Generator
 
 from repro.core.backends.base import LaneBackend, LaneTicket, register_backend
-from repro.ioat.api import DmaCookie, descriptor_pieces, wait_ring_slot
-from repro.ioat.descriptor import CopyDescriptor
 from repro.units import GiB, ns
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,7 +37,6 @@ class FlexToeBackend(LaneBackend):
     """Many lightweight lanes; page chunks of one fragment run in parallel."""
 
     name = "flextoe"
-    n_lanes = 6
     index_base = 100
 
     def lane_params(self, host: "Host") -> "IoatParams":
@@ -49,7 +46,7 @@ class FlexToeBackend(LaneBackend):
         # the aggregate over 6 lanes exceeds one I/OAT channel.
         return replace(
             base,
-            channels=self.n_lanes,
+            channels=6,
             submit_cost=ns(120),
             per_descriptor_cost=ns(180),
             engine_bw=1.45 * GiB,
@@ -66,39 +63,12 @@ class FlexToeBackend(LaneBackend):
         dst_off: int,
         length: int,
     ) -> Generator:
-        src = skb.head
-        n_chunks, pieces = descriptor_pieces(src.addr + skb_off,
-                                             dst.addr + dst_off, length)
-        lanes = self.lanes.channels
-        n_lanes = len(lanes)
         cursor = state.backend_state or 0
-        sc = self.api.params.submit_cost
-        last: dict[int, int] = {}
-        counts: dict[int, int] = {}
-        sizes: dict[int, int] = {}
-        for i, (rel_src, rel_dst, n) in enumerate(pieces):
-            ch = lanes[(cursor + i) % n_lanes]
-            if ch.ring.free_slots == 0:
-                yield from wait_ring_slot(core, ch, "bh")
-            if sc:
-                yield sc
-            core.account("bh", sc, "dma_submit")
-            last[ch.index] = ch.submit(CopyDescriptor(
-                src, skb_off + rel_src, dst, dst_off + rel_dst, n
-            ))
-            counts[ch.index] = counts.get(ch.index, 0) + 1
-            sizes[ch.index] = sizes.get(ch.index, 0) + n
-        state.backend_state = (cursor + n_chunks) % n_lanes
-        self.api.copies_submitted += 1
-        self.api.descriptors_submitted += n_chunks
-        by_index = {ch.index: ch for ch in lanes}
-        return LaneTicket(
-            parts=tuple(
-                DmaCookie(by_index[idx], cookie, sizes[idx], counts[idx])
-                for idx, cookie in last.items()
-            ),
-            nbytes=length,
-        )
+        parts = yield from self.api.submit_copy_striped(
+            core, skb.head, skb_off, dst, dst_off, length, "bh", first=cursor)
+        state.backend_state = ((cursor + sum(p.n_descriptors for p in parts))
+                               % len(self.engine.channels))
+        return LaneTicket(parts=tuple(parts), nbytes=length)
 
     # -- completion: tickets span lanes, so poll/drain cover the group --
 
@@ -106,7 +76,7 @@ class FlexToeBackend(LaneBackend):
                      state: "MessageOffloadState") -> Generator:
         yield from core.busy(self.api.params.poll_cost, "bh",
                              phase="dma_poll")
-        for ch in self.lanes.channels:
+        for ch in self.engine.channels:
             ch.poll()
         return None
 
@@ -130,5 +100,5 @@ class FlexToeBackend(LaneBackend):
         )
 
     def reap_state(self, state: "MessageOffloadState") -> None:
-        for ch in self.lanes.channels:
+        for ch in self.engine.channels:
             ch.reap()

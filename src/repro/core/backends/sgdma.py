@@ -43,7 +43,6 @@ class SgdmaBackend(LaneBackend):
     """Chained-descriptor submission: pay per chain, not per descriptor."""
 
     name = "sgdma"
-    n_lanes = 2
     index_base = 300
 
     def lane_params(self, host: "Host") -> "IoatParams":
@@ -53,7 +52,7 @@ class SgdmaBackend(LaneBackend):
         # sequentially from a cached list.
         return replace(
             base,
-            channels=self.n_lanes,
+            channels=2,
             submit_cost=ELEMENT_COST,
             per_descriptor_cost=ns(260),
         )

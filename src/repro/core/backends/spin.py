@@ -39,7 +39,6 @@ class SpinBackend(LaneBackend):
     """Per-fragment handlers on NIC packet processors."""
 
     name = "spin"
-    n_lanes = 4
     index_base = 200
 
     def lane_params(self, host: "Host") -> "IoatParams":
@@ -48,7 +47,7 @@ class SpinBackend(LaneBackend):
         # the handler pays its scheduling cost on the NIC, per fragment.
         return replace(
             base,
-            channels=self.n_lanes,
+            channels=4,
             submit_cost=ns(80),
             per_descriptor_cost=ns(650),
             engine_bw=2.8 * GiB,

@@ -35,7 +35,7 @@ class SoftirqEngine:
         sim: "Simulator",
         params: NicParams,
         irq_core: "Core",
-        dispatch_cost: int = 1500,
+        dispatch_cost: int,
     ):
         self.sim = sim
         self.params = params
@@ -82,7 +82,8 @@ class SoftirqEngine:
             yield self.params.interrupt_coalesce
             yield core.res.request()
             try:
-                dispatch = self.irq_dispatch_cost()
+                # hardirq entry + softirq switch, paid per batch
+                dispatch = self.dispatch_cost
                 if dispatch:
                     yield dispatch
                 core.account("bh", dispatch, "irq_dispatch")
@@ -119,7 +120,3 @@ class SoftirqEngine:
                     nic.refill()
             finally:
                 core.res.release()
-
-    def irq_dispatch_cost(self) -> int:
-        """CPU cost of the hardirq entry + softirq switch, paid per batch."""
-        return self.dispatch_cost

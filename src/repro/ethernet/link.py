@@ -115,7 +115,6 @@ class _Direction:
         #: fault verdicts become instant events
         self.trace = None
         self.frames_sent = 0
-        self.bytes_sent = 0
         #: wire_len -> serialization ticks (a handful of distinct frame
         #: sizes per run; the div/round in transfer_time is hot otherwise)
         self._ser_cache: dict[int, int] = {}
@@ -150,7 +149,6 @@ class _Direction:
         sim = self.sim
         index = self.frames_sent
         self.frames_sent += 1
-        self.bytes_sent += frame.wire_len
         verdict = DELIVER
         if self.fault is not None:
             verdict = self.fault.on_frame(frame, index, sim.now)

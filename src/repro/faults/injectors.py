@@ -319,14 +319,12 @@ def arm_plan(tb: "Testbed", plan: FaultPlan) -> ArmedPlan:
 
     for spec in plan.ioat:
         host = tb.hosts[spec.node]
-        engine = host.ioat_engine
         if spec.channel is None:
-            # All DMA lanes of the node — the engine's own channels plus
-            # any lanes a copy backend (repro.core.backends) brought up.
-            channels = list(engine.channels)
-            channels += getattr(host, "extra_dma_channels", [])
+            # Every DMA channel of the node, copy-backend lanes included.
+            channels = [ch for engine in host.dma_engines
+                        for ch in engine.channels]
         else:
-            channels = [engine[spec.channel]]
+            channels = [host.ioat_engine[spec.channel]]
         for ch in channels:
             if spec.action == "fail":
                 tb.sim.call_at(spec.at, ch.fail)

@@ -191,18 +191,17 @@ class HostHealth:
 
     def __init__(self, host: "Host"):
         self.host = host
-        # One pair of scratch regions shared by every breaker — including
-        # lanes adopted later (adoption must not shift kernel addresses).
+        # One pair of scratch regions shared by every breaker, allocated
+        # before the first adoption so that adoption never shifts kernel
+        # addresses.
         self._probe_src = host.kernel_space.alloc(BREAKER_PROBE_BYTES,
                                                   fill=0xA5)
         self._probe_dst = host.kernel_space.alloc(BREAKER_PROBE_BYTES)
         self.breakers = []
-        for channel in host.ioat_engine.channels:
-            self.adopt(channel)
 
     def adopt(self, channel: "DmaChannel") -> ChannelBreaker:
-        """Supervise ``channel`` — engine channels at construction, backend
-        lanes (repro.core.backends) whenever they come up."""
+        """Supervise ``channel``; :meth:`Host.add_dma_engine
+        <repro.cluster.host.Host.add_dma_engine>` calls this per channel."""
         breaker = ChannelBreaker(self.host.sim, channel, self._probe_src,
                                  self._probe_dst, trace=self.host.trace)
         channel.health = breaker

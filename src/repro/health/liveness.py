@@ -58,12 +58,6 @@ class PeerLivenessMonitor:
 
     # -- driver-side notifications --------------------------------------
 
-    def heard(self, peer: EndpointAddr) -> None:
-        """Any packet from ``peer`` arrived (called from the BH callback)."""
-        self.last_heard[peer] = self.sim.now
-        # A resurrected peer may talk to us again; new work is allowed.
-        self.dead.discard(peer)
-
     def ensure_armed(self) -> None:
         """Start the scan daemon if pending work exists and it is idle."""
         if self._armed:

@@ -143,39 +143,41 @@ class IoatDmaApi:
         dst_off: int,
         length: int,
         category: str,
+        first: int = 0,
     ) -> Generator:
-        """Stripe one copy across all channels (§V: up to +40 % raw copy
+        """Stripe one copy across all channels, page chunk ``i`` on channel
+        ``first + i`` (modulo the channel count).  §V: up to +40 % raw copy
         throughput per [22]; Open-MX deliberately does NOT do this,
-        assigning one channel per message instead).
+        assigning one channel per message instead.
 
-        Returns one :class:`DmaCookie` per channel used; the copy is done
-        when all of them are.
+        Returns one :class:`DmaCookie` per channel used, in first-use
+        order; the copy is done when all of them are.
         """
         if length <= 0:
             raise ValueError("cannot submit empty copy")
         chans = self.engine.channels
-        chunks = list(
-            page_aligned_chunks(src.addr + src_off, dst.addr + dst_off, length)
-        )
+        n_chunks, pieces = descriptor_pieces(src.addr + src_off,
+                                             dst.addr + dst_off, length)
         sc = self.params.submit_cost
-        last: dict[int, int] = {}
-        counts: dict[int, int] = {}
-        for i, (rel_src, rel_dst, n) in enumerate(chunks):
-            ch = chans[i % len(chans)]
+        last: dict[DmaChannel, int] = {}
+        counts: dict[DmaChannel, int] = {}
+        sizes: dict[DmaChannel, int] = {}
+        for i, (rel_src, rel_dst, n) in enumerate(pieces):
+            ch = chans[(first + i) % len(chans)]
             if ch.ring.free_slots == 0:
                 yield from wait_ring_slot(core, ch, category)
             if sc:
                 yield sc
             core.account(category, sc, "dma_submit")
-            last[ch.index] = ch.submit(
+            last[ch] = ch.submit(
                 CopyDescriptor(src, src_off + rel_src, dst, dst_off + rel_dst, n)
             )
-            counts[ch.index] = counts.get(ch.index, 0) + 1
+            counts[ch] = counts.get(ch, 0) + 1
+            sizes[ch] = sizes.get(ch, 0) + n
         self.copies_submitted += 1
-        self.descriptors_submitted += len(chunks)
-        return [
-            DmaCookie(chans[i], cookie, 0, counts[i]) for i, cookie in last.items()
-        ]
+        self.descriptors_submitted += n_chunks
+        return [DmaCookie(ch, cookie, sizes[ch], counts[ch])
+                for ch, cookie in last.items()]
 
     # -- completion -----------------------------------------------------------------
 

@@ -19,18 +19,27 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class IoatEngine:
-    """All DMA channels of the chipset."""
+    """A set of in-order DMA channels: the chipset's, or a copy backend's
+    lanes (:mod:`repro.core.backends`).
+
+    Channels are numbered ``index_base + i``; a backend's base keeps its
+    lane indices (and thus trace lane names, metric names and breaker
+    identities) disjoint from the chipset's.  An engine joins a host
+    through :meth:`repro.cluster.host.Host.add_dma_engine`.
+    """
 
     def __init__(
         self,
         sim: "Simulator",
         params: IoatParams,
         caches: Optional["CacheDirectory"] = None,
+        index_base: int = 0,
     ):
         self.sim = sim
         self.params = params
         self.channels = [
-            DmaChannel(sim, params, index=i, caches=caches) for i in range(params.channels)
+            DmaChannel(sim, params, index=index_base + i, caches=caches)
+            for i in range(params.channels)
         ]
         self._rr = 0
 

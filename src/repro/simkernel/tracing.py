@@ -118,7 +118,7 @@ class TraceRecorder:
         if hi <= lo:
             hi = lo + 1
         scale = width / (hi - lo)
-        lanes = [lane for lane in self.lanes() if any(s.lane == lane for s in self.spans)]
+        lanes = list(dict.fromkeys(s.lane for s in self.spans))
         name_w = max(len(n) for n in lanes) + 1
         lines = []
         for lane in lanes:

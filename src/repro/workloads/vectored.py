@@ -118,10 +118,8 @@ def run_vectored_transfer(tb, total: int, segment: int) -> VectoredRunResult:
     workload instead of an analytic formula, exercising whichever
     :class:`~repro.core.backends.CopyBackend` the testbed's config names.
     """
-    from repro.core.offload import OffloadManager
-
     host = tb.hosts[0]
-    mgr = OffloadManager(host, host.platform.omx)
+    mgr = tb.stacks[0].driver.offload
     state = mgr.new_message_state()
     core = host.irq_core
     space = host.user_space("vectored")
@@ -148,9 +146,7 @@ def run_vectored_transfer(tb, total: int, segment: int) -> VectoredRunResult:
 
     tb.sim.daemon(work(), name="vectored")
     elapsed = tb.sim.run_until(done)
-    descriptors = host.ioat_engine.descriptors_completed + sum(
-        ch.descriptors_completed for ch in host.extra_dma_channels
-    )
+    descriptors = sum(e.descriptors_completed for e in host.dma_engines)
     return VectoredRunResult(
         backend=host.platform.omx.copy_backend,
         segment=segment,

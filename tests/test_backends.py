@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.sanitizers import Sanitizer
 from repro.cluster.host import Host
+from repro.cluster.testbed import build_single_node
 from repro.core.backends import (
     CopyBackend,
     LaneBackend,
@@ -26,6 +27,7 @@ from repro.health import BreakerState
 from repro.params import clovertown_5000x
 from repro.simkernel import Simulator
 from repro.units import KiB
+from repro.workloads.vectored import run_vectored_transfer
 
 ALL_BACKENDS = backend_names()
 OFFLOADING = [b for b in ALL_BACKENDS if b != "memcpy"]
@@ -50,7 +52,7 @@ def backend_channels(mgr, state):
     """Every DMA channel the backend may submit this message's copies to."""
     b = mgr.backend
     if isinstance(b, LaneBackend):
-        return list(b.lanes)
+        return list(b.engine)
     return [state.channel]
 
 
@@ -251,7 +253,7 @@ class TestSanitizerDrain:
         san = Sanitizer()
         san.watch_host(host)
         if isinstance(mgr.backend, LaneBackend):
-            for lane in mgr.backend.lanes:
+            for lane in mgr.backend.engine:
                 assert lane.observer is san
         else:
             assert host.ioat_engine[0].observer is san
@@ -290,6 +292,37 @@ class TestBreakerSupervision:
         assert sum(b.reopens for b in breakers) >= len(tripped)
 
 
+class TestOneWiringPath:
+    """Every DMA channel joins its host once, through ``add_dma_engine``,
+    and striping addresses channels by object, not by index."""
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_vectored_run_wires_each_lane_once(self, name):
+        tb = build_single_node(copy_backend=name, ioat_enabled=True)
+        run_vectored_transfer(tb, 64 * KiB, 4 * KiB)
+        host = tb.hosts[0]
+        lanes = isinstance(tb.stacks[0].driver.offload.backend, LaneBackend)
+        assert len(host.dma_engines) == (2 if lanes else 1)
+        indices = [ch.index for e in host.dma_engines for ch in e.channels]
+        assert len(indices) == len(set(indices))
+        assert len(host.health.breakers) == len(indices)
+
+    def test_striping_starts_at_first_on_a_lane_engine(self):
+        sim, host, mgr = make_env("flextoe")
+        api = mgr.backend.api
+        space = host.user_space("stripe")
+        src = space.alloc(20 * KiB, fill=0x5A)
+        dst = space.alloc(20 * KiB)
+        cookies = run_bh(sim, host, lambda core: api.submit_copy_striped(
+            core, src, 0, dst, 0, 20 * KiB, "bh", first=4))
+        assert [c.channel.index for c in cookies] == [104, 105, 100, 101, 102]
+        assert [(c.n_descriptors, c.nbytes) for c in cookies] \
+            == [(1, 4 * KiB)] * 5
+        sim.run()
+        assert all(c.done and not c.failed for c in cookies)
+        assert bytes(dst.data) == bytes(src.data)
+
+
 @pytest.mark.racecheck
 class TestParallelLaneRaces:
     """The FlexTOE backend stripes one fragment across lanes whose
@@ -306,7 +339,7 @@ class TestParallelLaneRaces:
         assert freed == 6
         assert not state.pending
         assert mgr.fallback_copies == 0
-        lanes = mgr.backend.lanes
+        lanes = mgr.backend.engine
         # Every fragment straddles at least one page edge on the source
         # side, so each splits into 2+ striped chunks; the exact count is
         # deterministic in the destination offsets, and — the racecheck

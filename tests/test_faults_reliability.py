@@ -28,6 +28,7 @@ B = EndpointAddr(2, 0)
 SLOW = settings(
     max_examples=12,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
