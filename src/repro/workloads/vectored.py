@@ -113,10 +113,12 @@ def run_vectored_transfer(tb, total: int, segment: int) -> VectoredRunResult:
     """Drive the scatter pattern through the event loop.
 
     One skbuff per ``segment``-sized piece is filled and copied into a
-    contiguous user region through the offload manager (periodic cleanup
-    every 8 fragments, final drain) — the §IV-A corner case as a real
-    workload instead of an analytic formula, exercising whichever
-    :class:`~repro.core.backends.CopyBackend` the testbed's config names.
+    contiguous user region through the node driver's offload manager
+    (periodic cleanup every 8 fragments, final drain) — the §IV-A corner
+    case as a real workload instead of an analytic formula, exercising
+    whichever :class:`~repro.core.backends.CopyBackend` the testbed's
+    config names.  A second manager would build that backend's lanes a
+    second time.
     """
     host = tb.hosts[0]
     mgr = tb.stacks[0].driver.offload
