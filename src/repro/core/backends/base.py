@@ -223,5 +223,9 @@ class LaneBackend(CopyBackend):
                     lambda: self.engine.descriptors_completed)
         reg.counter("backend", f"backend_{name}_descriptors_failed",
                     lambda: self.engine.descriptors_failed)
+        reg.counter("backend", f"backend_{name}_copies_submitted",
+                    lambda: self.api.copies_submitted)
+        reg.counter("backend", f"backend_{name}_descriptors_submitted",
+                    lambda: self.api.descriptors_submitted)
         for ch in self.engine.channels:
             ch.register_metrics(reg)

@@ -221,7 +221,7 @@ class OmxEndpoint:
     def _complete(self, req: OmxRequest) -> None:
         if req is None or req.completion.triggered:
             return
-        req.completion.succeed(req)
+        req.completion.succeed()
         self.activity.fire()
 
     def _on_eager_frag(self, core: "Core", ev: OmxEvent) -> Generator:

@@ -70,7 +70,9 @@ class Nic:
         #: lowest rx-ring fill level ever observed — the backpressure
         #: headroom metric (0 means the ring actually ran dry)
         self.rx_ring_min_fill = params.rx_ring_size
-        self._fill_ring()
+        # The initial fill is carved from one region; refill() allocates
+        # (or reuses) one head per buffer.
+        self._rx_ring.extend(pool.carve_rx(params.rx_ring_size))
 
     def register_metrics(self, reg) -> None:
         """Publish NIC statistics into a :class:`~repro.obs.registry.MetricsRegistry`."""
@@ -86,13 +88,10 @@ class Nic:
 
     # -- receive ----------------------------------------------------------
 
-    def _fill_ring(self) -> None:
-        while len(self._rx_ring) < self.params.rx_ring_size:
-            self._rx_ring.append(self.pool.alloc_rx())
-
     def refill(self) -> None:
         """Driver-side ring replenishment (runs logically in the BH)."""
-        self._fill_ring()
+        while len(self._rx_ring) < self.params.rx_ring_size:
+            self._rx_ring.append(self.pool.alloc_rx())
 
     def on_frame(self, frame: EthernetFrame) -> None:
         """Link delivery: DMA the frame into the next posted skbuff."""

@@ -16,14 +16,36 @@ The pool tracks outstanding buffers; tests assert it drains back to zero
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from repro.memory.buffers import AddressSpace, MemoryRegion
 from repro.units import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ethernet.frame import EthernetFrame
+
+
+class _MappedRegion(MemoryRegion):
+    """A region whose storage, made on first use, is an anonymous mapping.
+
+    The OS zero-fills a mapping page by page as it is first touched, so
+    only the pages written become resident.  ``np.zeros`` does not promise
+    that: the C allocator may hand back reused heap memory and clear all
+    of it, and numpy advises transparent huge pages for arrays of 4 MiB
+    and more, under which one write makes 2 MiB resident.
+    """
+
+    __slots__ = ()
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = np.frombuffer(mmap.mmap(-1, self._size), dtype=np.uint8)
+        return self._data
 
 
 @dataclass
@@ -98,6 +120,21 @@ class SkbuffPool:
         """A receive skbuff with linear kernel pages."""
         region = self._free.pop() if self._free else self.space.alloc_pages(self.buf_pages)
         return self._track(Skbuff(self, region))
+
+    def carve_rx(self, n: int) -> list[Skbuff]:
+        """``n`` receive skbuffs whose heads are consecutive subregions of
+        one page allocation: a NIC's initial ring fill.
+
+        The heads get the addresses of ``n`` back-to-back :meth:`alloc_rx`
+        calls on an empty free list.  The allocation's storage is a
+        :class:`_MappedRegion`'s, so only the pages a payload is stored in
+        become resident (phantom mode stores payloads of 64 B or less).
+        """
+        size = self.buf_pages * PAGE_SIZE
+        pages = self.space.alloc_pages(self.buf_pages * n)
+        ring = _MappedRegion(pages.addr, len(pages), self.space)
+        return [self._track(Skbuff(self, ring.subregion(i * size, size)))
+                for i in range(n)]
 
     def alloc_tx(self) -> Skbuff:
         """A transmit skbuff (headers only; data rides in page frags)."""

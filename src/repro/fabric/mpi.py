@@ -124,13 +124,12 @@ class _FabricCore:
 class _FabricReq:
     """One outstanding fabric send or receive."""
 
-    __slots__ = ("done", "error", "event", "msg")
+    __slots__ = ("done", "error", "event")
 
     def __init__(self):
         self.done = False
         self.error: Optional[Exception] = None
         self.event: Optional[Event] = None
-        self.msg: Optional[_Message] = None
 
 
 class FabricRank(Rank):
@@ -161,7 +160,6 @@ class FabricRank(Rank):
         if world._send_refused(req, dest):
             return req
         msg = world.net.send(self.host, world.hosts[dest], tag, n)
-        req.msg = msg
         msg.user = req
         if msg.failed:
             world._complete(req, msg.error)
@@ -184,7 +182,6 @@ class FabricRank(Rank):
             msg = q.popleft()
             if not q:
                 del world._arrived[key]
-            req.msg = msg
             world._complete(req, msg.error)
         else:
             world._posted.setdefault(key, deque()).append(req)
@@ -264,7 +261,7 @@ class FabricWorld:
             if error is not None:
                 ev.fail(error)
             else:
-                ev.succeed(req)
+                ev.succeed()
 
     def _on_msg_complete(self, msg: _Message) -> None:
         if msg.error is not None and msg.user is not None:
@@ -275,7 +272,6 @@ class FabricWorld:
             req = q.popleft()
             if not q:
                 del self._posted[key]
-            req.msg = msg
             self._complete(req, msg.error)
             return
         if (self._declare_time is not None

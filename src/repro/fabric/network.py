@@ -200,7 +200,7 @@ class FabricPort:
             ports = dirty.get(at)
             if ports is None:
                 dirty[at] = [self]
-                self.sim.call_at(at, self.net._settle)
+                self.sim._push(at, self.net._settle, ())
             else:
                 ports.append(self)
 
@@ -233,7 +233,7 @@ class FabricPort:
                     self.rerouted += 1
                     net._reroute(chunk, self.owner, self.name)
             return
-        call_at = self.sim.call_at
+        push = self.sim._push
         dead = net._dead_hosts
         service = self.service
         for ready, _key, chunk in batch:
@@ -258,8 +258,8 @@ class FabricPort:
             self.free_at = finish
             self.busy_ticks += ticks
             self.admitted += 1
-            call_at(finish + self.delay + self.extra_delay,
-                    self.handler, chunk)
+            push(finish + self.delay + self.extra_delay,
+                 self.handler, (chunk,))
 
     # -- observation -------------------------------------------------------
 

@@ -68,10 +68,6 @@ class IoatEngine:
         self._rr += 1
         return ch
 
-    def least_loaded_channel(self) -> DmaChannel:
-        """Channel with the shallowest queue (used by the striping ablation)."""
-        return min(self.channels, key=lambda c: (c.queue_depth, c.index))
-
     # -- aggregate statistics ------------------------------------------------
 
     @property

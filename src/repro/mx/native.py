@@ -139,7 +139,7 @@ class NativeMxEndpoint:
 
     def _complete(self, req: MxRequest, xfer: int) -> None:
         req.xfer_length = xfer
-        req.completion.succeed(req)
+        req.completion.succeed()
         self.activity.fire()
 
 

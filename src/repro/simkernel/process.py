@@ -66,6 +66,20 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
+    # -- finishing -----------------------------------------------------------
+    #
+    # The prebound callbacks point back at this process; a finished process
+    # drops them, so it leaves no cycle and refcounting frees it as soon as
+    # its last user lets go (the drain loop runs with the cyclic GC off).
+
+    def succeed(self, value: object = None) -> Event:
+        self._waiting_cb = self._fire_cb = self._resume_cb = None
+        return Event.succeed(self, value)
+
+    def fail(self, exc: BaseException) -> Event:
+        self._waiting_cb = self._fire_cb = self._resume_cb = None
+        return Event.fail(self, exc)
+
     # -- driving -----------------------------------------------------------
 
     def _resume(self, ev: Event) -> None:

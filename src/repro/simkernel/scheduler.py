@@ -262,11 +262,13 @@ class Simulator:
         limit = max_events if max_events is not None else sys.maxsize
         #: the bucket being walked, while a walk is in progress
         bucket = None
-        # The drain loop allocates heavily (entry tuples, generator frames)
-        # but holds no cycles long enough to matter: pausing the cyclic GC
-        # for the duration avoids collector sweeps mid-simulation.  Refcount
-        # reclamation is unaffected; the pause nests safely (inner loops see
-        # the collector already off and leave it off).
+        # The drain loop allocates heavily (entry tuples, generator frames):
+        # pausing the cyclic GC for the duration avoids collector sweeps
+        # mid-simulation.  Only refcounting frees memory meanwhile, so this
+        # relies on a rule: no finished operation (request, message, process)
+        # may be left in a reference cycle, or it stays until the run ends
+        # (tests/test_cyclic_garbage.py gates it).  The pause nests safely
+        # (inner loops see the collector already off and leave it off).
         gc_was_on = gc.isenabled()
         if gc_was_on:
             gc.disable()

@@ -17,6 +17,7 @@ from repro.analysis.sanitizers import Sanitizer
 from repro.cluster.host import Host
 from repro.cluster.testbed import build_single_node
 from repro.core.backends import (
+    BACKENDS,
     CopyBackend,
     LaneBackend,
     backend_names,
@@ -31,6 +32,7 @@ from repro.workloads.vectored import run_vectored_transfer
 
 ALL_BACKENDS = backend_names()
 OFFLOADING = [b for b in ALL_BACKENDS if b != "memcpy"]
+LANES = [b for b in ALL_BACKENDS if issubclass(BACKENDS[b], LaneBackend)]
 
 MSG_LEN = 1 << 20  # always above ioat_min_msg
 
@@ -117,6 +119,16 @@ class TestRegistry:
         assert "offload_breaker_exhausted" in host.metrics
         if isinstance(mgr.backend, LaneBackend):
             assert f"backend_{name}_bytes" in host.metrics
+
+    @pytest.mark.parametrize("name", LANES)
+    def test_lane_submissions_published(self, name):
+        tb = build_single_node(copy_backend=name, ioat_enabled=True)
+        run_vectored_transfer(tb, 64 * KiB, 4 * KiB)
+        snap = tb.hosts[0].metrics.snapshot()
+        submitted = snap[f"backend_{name}_descriptors_submitted"]
+        assert submitted > 0
+        assert submitted == snap[f"backend_{name}_descriptors"]
+        assert snap[f"backend_{name}_copies_submitted"] > 0
 
 
 class TestSubmitPollOrdering:

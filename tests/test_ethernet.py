@@ -219,6 +219,23 @@ class TestNicRxRing:
         nics[1].refill()
         assert len(nics[1]._rx_ring) == NicParams().rx_ring_size
 
+    def test_initial_fill_is_carved_from_one_region(self):
+        """The initial ring's heads are subregions of one region, at the
+        addresses back-to-back three-page allocations would give them:
+        consecutive from the start of the host's kernel space."""
+        tb = build_testbed()
+        stride = 3 * units.PAGE_SIZE
+        for host in tb.hosts:
+            heads = [skb.head for skb in host.nic._rx_ring]
+            assert len(heads) == NicParams().rx_ring_size
+            parent = heads[0]._parent
+            assert parent is not None
+            assert all(h._parent is parent for h in heads)
+            assert len(parent) == len(heads) * stride
+            assert [(h.addr, len(h)) for h in heads] == [
+                (host.kernel_space.base + i * stride, stride)
+                for i in range(len(heads))]
+
     def test_dma_records_bus_and_invalidates_cache(self):
         sim, nics, link = make_wired_pair()
 

@@ -149,12 +149,6 @@ class TestIoatEngine:
         _, params, engine, _, _ = make_engine()
         assert len(engine) == params.channels == 4
 
-    def test_least_loaded(self, space):
-        sim, params, engine, core, api = make_engine()
-        src, dst = space.alloc(PAGE_SIZE), space.alloc(PAGE_SIZE)
-        engine[0].submit(CopyDescriptor(src, 0, dst, 0, 64))
-        assert engine.least_loaded_channel().index == 1
-
 
 class TestIoatDmaApi:
     def test_submit_charges_cpu_per_descriptor(self, space):
