@@ -17,7 +17,6 @@ every figure of the paper, and DESIGN.md / EXPERIMENTS.md at the repository
 root for the system inventory and measured results.
 """
 
-from repro.cluster.testbed import Testbed, build_single_node, build_testbed
 from repro.params import (
     HostParams,
     IoatParams,
@@ -42,3 +41,14 @@ __all__ = [
     "build_testbed",
     "clovertown_5000x",
 ]
+
+#: names resolved on first access, so that ``import repro.fabric`` (which
+#: builds no host) does not load the Open-MX hardware model and numpy
+_TESTBED_NAMES = ("Testbed", "build_single_node", "build_testbed")
+
+
+def __getattr__(name: str):
+    if name in _TESTBED_NAMES:
+        from repro.cluster import testbed
+        return getattr(testbed, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -17,16 +17,3 @@ This package is the paper's contribution.  It mirrors the real Open-MX split:
   and control traffic.
 * :mod:`~repro.core.types` — events, requests and the pinned eager ring.
 """
-
-from repro.core.driver import OmxDriver, OmxStack
-from repro.core.endpoint import OmxEndpoint
-from repro.core.types import EvType, OmxEvent, OmxRequest
-
-__all__ = [
-    "EvType",
-    "OmxDriver",
-    "OmxEndpoint",
-    "OmxEvent",
-    "OmxRequest",
-    "OmxStack",
-]

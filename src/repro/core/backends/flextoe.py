@@ -63,11 +63,17 @@ class FlexToeBackend(LaneBackend):
         dst_off: int,
         length: int,
     ) -> Generator:
+        # The offload gates passed the message's own lane only; stripe over
+        # every lane that is up and CLOSED, so a failed or tripped lane gets
+        # no descriptor (the message's lane is always among them).
+        usable = self.host.health.usable
+        lanes = [ch for ch in self.engine.channels if usable(ch)]
         cursor = state.backend_state or 0
         parts = yield from self.api.submit_copy_striped(
-            core, skb.head, skb_off, dst, dst_off, length, "bh", first=cursor)
+            core, skb.head, skb_off, dst, dst_off, length, "bh", first=cursor,
+            channels=lanes)
         state.backend_state = ((cursor + sum(p.n_descriptors for p in parts))
-                               % len(self.engine.channels))
+                               % len(lanes))
         return LaneTicket(parts=tuple(parts), nbytes=length)
 
     # -- completion: tickets span lanes, so poll/drain cover the group --

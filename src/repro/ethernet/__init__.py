@@ -16,19 +16,3 @@ Models the parts of the Linux Ethernet stack that shape the paper's problem:
   skbuffs are handed to per-ethertype protocol handlers on the interrupt
   core.
 """
-
-from repro.ethernet.frame import EthernetFrame
-from repro.ethernet.link import Link, LossInjector
-from repro.ethernet.nic import Nic
-from repro.ethernet.skbuff import Skbuff, SkbuffPool
-from repro.ethernet.driver import SoftirqEngine
-
-__all__ = [
-    "EthernetFrame",
-    "Link",
-    "LossInjector",
-    "Nic",
-    "Skbuff",
-    "SkbuffPool",
-    "SoftirqEngine",
-]

@@ -11,10 +11,9 @@ Memory scaling (ROADMAP item 1's "no per-host object blowup"):
 
 * no :class:`~repro.cluster.host.Host` graphs — per-chunk costs come from
   the network's shared :class:`~repro.fabric.cost.CostTable`;
-* rank buffers are :class:`_PhantomRegion`\\ s backed by one shared,
-  grow-on-demand numpy scratch array per world (the cost model is
-  content-blind, and the collectives' reduction arithmetic tolerates
-  aliased storage — value checking belongs to the full-model testbeds);
+* rank buffers are :class:`_PhantomRegion`\\ s: fabric buffers hold no
+  bytes; reductions on them are charged, not computed (the cost model is
+  content-blind — value checking belongs to the full-model testbeds);
 * CPU accounting is aggregated per category in one dict, not per core.
 
 Failure propagation: a message that loses its last path (or is dropped by
@@ -42,8 +41,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Generator, Optional
 
-import numpy as np
-
 from repro.core.errors import RankDead, TransferError
 from repro.fabric.network import FabricNetwork, _Message
 from repro.fabric.spec import TopologySpec
@@ -61,28 +58,26 @@ RANK_DEATH_GRACE = us(30)
 
 
 class _PhantomRegion:
-    """A buffer with shared backing storage (cost-model-only payloads)."""
+    """A buffer of ``nbytes`` that holds no bytes (cost-model-only payloads):
+    stores, copies and reductions into it keep nothing."""
 
-    __slots__ = ("world", "nbytes")
+    __slots__ = ("nbytes",)
 
-    def __init__(self, world: "FabricWorld", nbytes: int):
-        self.world = world
+    def __init__(self, nbytes: int):
         self.nbytes = nbytes
 
     def __len__(self) -> int:
         return self.nbytes
 
-    def read(self, offset: int = 0, length: Optional[int] = None) -> np.ndarray:
-        if length is None:
-            length = self.nbytes - offset
-        if offset < 0 or length < 0 or offset + length > self.nbytes:
-            raise ValueError("read outside region")
-        return self.world.scratch(length)[:length]
-
-    def write(self, offset: int, payload) -> None:  # storage is shared
+    def write(self, offset: int, payload) -> None:
         n = len(payload)
         if offset < 0 or offset + n > self.nbytes:
             raise ValueError("write outside region")
+
+    def copy_from(self, offset: int, src, src_off: int, length: int) -> None:
+        pass
+
+    accumulate = copy_from
 
     def fill_pattern(self, seed: int = 0) -> None:
         pass
@@ -91,16 +86,13 @@ class _PhantomRegion:
 class _FabricSpace:
     """The ``rank.space`` protocol: an allocator of phantom regions."""
 
-    __slots__ = ("world",)
-
-    def __init__(self, world: "FabricWorld"):
-        self.world = world
+    __slots__ = ()
 
     def alloc(self, length: int, align: int = 4096,
               fill: Optional[int] = None) -> _PhantomRegion:
         if length < 0:
             raise ValueError("negative allocation")
-        return _PhantomRegion(self.world, max(length, 1))
+        return _PhantomRegion(max(length, 1))
 
 
 class _FabricCore:
@@ -209,10 +201,9 @@ class FabricWorld:
         self.hosts: list[str] = list(spec.hosts)
         self.host_rank = {h: i for i, h in enumerate(self.hosts)}
         self.core = _FabricCore(self)
-        self.space = _FabricSpace(self)
+        self.space = _FabricSpace()
         #: aggregate simulated CPU ticks by category (all ranks)
         self.cpu: dict[str, int] = {}
-        self._scratch = np.zeros(64, dtype=np.uint8)
         #: (dst_rank, src_rank, tag) -> deque of posted _FabricReq
         self._posted: dict[tuple, deque] = {}
         #: (dst_rank, src_rank, tag) -> deque of arrived _Message
@@ -241,13 +232,6 @@ class FabricWorld:
     @property
     def size(self) -> int:
         return len(self.ranks)
-
-    def scratch(self, nbytes: int) -> np.ndarray:
-        """The shared backing array, grown (4-byte aligned) on demand."""
-        if self._scratch.size < nbytes:
-            grown = max(nbytes, 2 * self._scratch.size)
-            self._scratch = np.zeros((grown + 3) & ~3, dtype=np.uint8)
-        return self._scratch
 
     # -- completion plumbing ----------------------------------------------
 

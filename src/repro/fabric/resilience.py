@@ -352,7 +352,7 @@ def resilient_allreduce(rank: "FabricRank", sendbuf, recvbuf) -> Generator:
         if n:
             yield from rank.core.execute(max(int(n * SEC / REDUCE_BW), 1),
                                          "user")
-            recvbuf.read(0, n)[:] = sendbuf.read(0, n)
+            recvbuf.copy_from(0, sendbuf, 0, n)
         # The shrunk ring: the survivors, on epoch-scoped tags so retries
         # after a second death cannot cross-match the first retry's
         # stragglers.

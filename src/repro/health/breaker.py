@@ -219,6 +219,13 @@ class HostHealth:
         breaker = self.breaker_for(channel)
         return breaker is None or breaker.allows_offload()
 
+    def usable(self, channel: "DmaChannel") -> bool:
+        """Whether ``channel`` is up and its breaker CLOSED, read without
+        side effects: unlike :meth:`allows_offload`, it re-arms no probe."""
+        breaker = self.breaker_for(channel)
+        return not channel.failed and (
+            breaker is None or breaker.state is BreakerState.CLOSED)
+
     def record_fallback(self, channel: "DmaChannel") -> None:
         """A fallback memcpy healed a failed copy on ``channel``: feed the
         failure into its breaker so repeated heals trip it (the PR 3 path

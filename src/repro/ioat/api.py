@@ -14,7 +14,7 @@ equivalent to "is my whole copy done".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.ioat.channel import DmaChannel
 from repro.ioat.descriptor import CopyDescriptor
@@ -144,18 +144,19 @@ class IoatDmaApi:
         length: int,
         category: str,
         first: int = 0,
+        channels: Optional[Sequence[DmaChannel]] = None,
     ) -> Generator:
-        """Stripe one copy across all channels, page chunk ``i`` on channel
-        ``first + i`` (modulo the channel count).  §V: up to +40 % raw copy
-        throughput per [22]; Open-MX deliberately does NOT do this,
-        assigning one channel per message instead.
+        """Stripe one copy across ``channels`` (default: all of the engine's),
+        page chunk ``i`` on channel ``first + i`` (modulo their count).
+        §V: up to +40 % raw copy throughput per [22]; Open-MX deliberately
+        does NOT do this, assigning one channel per message instead.
 
         Returns one :class:`DmaCookie` per channel used, in first-use
         order; the copy is done when all of them are.
         """
         if length <= 0:
             raise ValueError("cannot submit empty copy")
-        chans = self.engine.channels
+        chans = self.engine.channels if channels is None else channels
         n_chunks, pieces = descriptor_pieces(src.addr + src_off,
                                              dst.addr + dst_off, length)
         sc = self.params.submit_cost

@@ -15,25 +15,3 @@ This package models everything the paper's copy paths depend on:
 * :mod:`~repro.memory.bus` — memory-bus contention between CPU copies and
   NIC DMA ingress.
 """
-
-from repro.memory.buffers import AddressSpace, MemoryRegion
-from repro.memory.bus import MemoryBus
-from repro.memory.cache import L2Cache
-from repro.memory.copyengine import CpuCopier
-from repro.memory.layout import iter_chunks, page_aligned_chunks, pages_spanned
-from repro.memory.pinning import PinnedRegion, Pinner
-from repro.memory.regcache import RegistrationCache
-
-__all__ = [
-    "AddressSpace",
-    "CpuCopier",
-    "L2Cache",
-    "MemoryBus",
-    "MemoryRegion",
-    "PinnedRegion",
-    "Pinner",
-    "RegistrationCache",
-    "iter_chunks",
-    "page_aligned_chunks",
-    "pages_spanned",
-]

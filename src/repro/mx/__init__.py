@@ -10,8 +10,3 @@ package holds:
   deposit happen "in firmware" on the NIC, so the host never copies —
   the comparison target of Figs. 3, 8, 11 and 12.
 """
-
-from repro.mx.wire import EndpointAddr, MxPacket, PktType
-from repro.mx.native import NativeMxStack, NativeMxEndpoint
-
-__all__ = ["EndpointAddr", "MxPacket", "NativeMxEndpoint", "NativeMxStack", "PktType"]

@@ -239,7 +239,9 @@ class NativeMxStack:
                     offset=off, data_region=req.region,
                     data_offset=req.offset + off, data_length=n,
                 ))
-            # Eager sends complete locally once on the wire.
+            # Eager sends complete locally once on the wire; no NOTIFY will
+            # come to free their entry.
+            del ep.sends[req.msg_id]
             ep._complete(req, req.length)
         else:
             yield from self._emit(MxPacket(

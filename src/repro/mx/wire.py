@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum, auto
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
-from repro.memory.buffers import MemoryRegion
+    from repro.memory.buffers import MemoryRegion
 
 
 class PktType(IntEnum):
@@ -140,6 +141,7 @@ class MxPacket:
     def gather_data(self) -> np.ndarray:
         """Materialise the data bytes (called at NIC DMA time)."""
         if self.data_region is None or self.data_length == 0:
+            import numpy as np
             return np.empty(0, dtype=np.uint8)
         return self.data_region.read(self.data_offset, self.data_length)
 

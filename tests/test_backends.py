@@ -335,6 +335,43 @@ class TestOneWiringPath:
         assert bytes(dst.data) == bytes(src.data)
 
 
+class TestStripingSkipsUnusableLanes:
+    """FlexTOE stripes each fragment over its lanes, but the offload gates
+    test only the message's own lane: a failed lane, or one whose breaker
+    is OPEN, must get no descriptor from a message on a healthy lane."""
+
+    @pytest.mark.parametrize("fault", ["failed", "open"])
+    def test_healthy_message_puts_nothing_on_the_bad_lane(self, fault):
+        sim, host, mgr = make_env("flextoe")
+        bad = mgr.backend.engine.channels[3]
+        assert bad.index == 103
+        if fault == "failed":
+            bad.fail()  # noqa: HLT001 (the fixture)
+        else:
+            host.health.breaker_for(bad).state = BreakerState.OPEN
+        state = mgr.new_message_state()
+        assert state.channel.index == 100
+        frag = 8 * KiB
+        dst = host.user_space("conf").alloc(8 * frag)
+        sent = bytearray()
+
+        def gen(core):
+            for i in range(8):
+                skb = host.skb_pool.alloc_rx()
+                skb.data_len = frag
+                skb.head.fill_pattern(i)
+                sent.extend(skb.head.read(0, frag))
+                assert (yield from mgr.copy_fragment(
+                    core, state, skb, 0, dst, i * frag, frag, MSG_LEN))
+            return (yield from mgr.wait_all(core, state))
+
+        assert run_bh(sim, host, gen) == 8
+        sim.run()
+        assert (bad.descriptors_completed, bad.descriptors_failed) == (0, 0)
+        assert mgr.fallback_copies == 0
+        assert bytes(dst.read()) == bytes(sent)
+
+
 @pytest.mark.racecheck
 class TestParallelLaneRaces:
     """The FlexTOE backend stripes one fragment across lanes whose

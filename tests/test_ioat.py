@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ioat import CopyDescriptor, DescriptorRing, DmaChannel, IoatDmaApi, IoatEngine
-from repro.memory import AddressSpace
+from repro.memory.buffers import AddressSpace
 from repro.memory.cache import CacheDirectory
 from repro.params import CacheParams, HostParams, IoatParams
 from repro.simkernel import Simulator

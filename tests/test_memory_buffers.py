@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.memory import AddressSpace, MemoryRegion, Pinner, RegistrationCache
-from repro.memory.buffers import copy_bytes
+from repro.memory.buffers import AddressSpace, MemoryRegion, copy_bytes
+from repro.memory.pinning import Pinner
+from repro.memory.regcache import RegistrationCache
 from repro.params import HostParams
 from repro.simkernel import Simulator
 from repro.simkernel.cpu import Core

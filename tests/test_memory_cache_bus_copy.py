@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.memory import AddressSpace, CpuCopier, L2Cache, MemoryBus
-from repro.memory.cache import CacheDirectory
+from repro.memory.buffers import AddressSpace
+from repro.memory.bus import MemoryBus
+from repro.memory.cache import CacheDirectory, L2Cache
+from repro.memory.copyengine import CpuCopier
 from repro.params import CacheParams, HostParams
 from repro.simkernel import Simulator
 from repro.simkernel.cpu import CpuSet

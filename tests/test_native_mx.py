@@ -3,6 +3,8 @@
 import pytest
 
 from repro import build_testbed
+from repro.imb import run_imb
+from repro.mpi import create_world
 from repro.mx.native import match_accepts
 from repro.units import KiB, MiB, TEN_GBE_LINE_RATE_MIB_S, throughput_mib_s
 
@@ -131,6 +133,15 @@ class TestNativeMx:
         assert match_accepts(0xAA00, 0xFF00, 0xAA42)
         assert not match_accepts(0xAA00, 0xFF00, 0xBB42)
         assert match_accepts(0, 0, 12345)  # zero mask matches anything
+
+    @pytest.mark.parametrize("iterations", [10, 40])
+    def test_finished_eager_sends_are_freed(self, iterations):
+        """An eager send completes locally and gets no NOTIFY, so its
+        completion must drop it from the endpoint's ``sends``."""
+        tb = build_testbed(stacks="mx")
+        comm = create_world(tb)
+        run_imb(tb, comm, "PingPong", 16, iterations=iterations)
+        assert [len(r.endpoint.sends) for r in comm.ranks] == [0, 0]
 
     def test_duplicate_endpoint_rejected(self):
         tb = build_testbed(stacks="mx")
